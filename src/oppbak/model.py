@@ -241,6 +241,18 @@ class VersionIndex:
             stack.extend(self.get(dep).temporal_deps)
         return seen
 
+    def transitive_dependents(self, key: VersionKey) -> set[VersionKey]:
+        """Every version that depends on `key`, directly or not."""
+        seen: set[VersionKey] = set()
+        stack = list(self._rdeps.get(key, ()))
+        while stack:
+            dependent = stack.pop()
+            if dependent in seen:
+                continue
+            seen.add(dependent)
+            stack.extend(self._rdeps.get(dependent, ()))
+        return seen
+
     def pinned(self, key: VersionKey) -> bool:
         """True while some dependent newer version is not yet on the server.
 
@@ -250,17 +262,7 @@ class VersionIndex:
         self.get(key)
         if key in self._on_server:
             return False
-        seen: set[VersionKey] = set()
-        stack = list(self._rdeps.get(key, ()))
-        while stack:
-            dependent = stack.pop()
-            if dependent in seen:
-                continue
-            seen.add(dependent)
-            if dependent not in self._on_server:
-                return True
-            stack.extend(self._rdeps.get(dependent, ()))
-        return False
+        return not self.transitive_dependents(key) <= self._on_server
 
     def snapshot_record(
         self, key: VersionKey, alive: Optional[Iterable[str]] = None

@@ -12,6 +12,7 @@ space without losing entries.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
@@ -103,6 +104,14 @@ class ReplicaStore:
     `pin_check(item_id, version)` answers whether an old version must be
     retained; by default nothing is pinned. `on_delete(replica, reason)`
     fires for every removal so callers can mirror placement state.
+
+    Besides the replicas, the store keeps three indexes up to date on
+    every change: a heap of (lifetime, key) for expiry, the set of keys
+    no longer live, and the keys held per item id. A purge therefore
+    costs O(due + non-live) rather than a sort of the whole store, and a
+    notice touches only the named item's replicas. A replica's `state`
+    changes only through `notify`, and its `lifetime` not at all, while
+    it is held.
     """
 
     def __init__(
@@ -130,6 +139,9 @@ class ReplicaStore:
         self._pin_check = pin_check or (lambda item_id, version: False)
         self._on_delete = on_delete
         self._replicas: dict[ReplicaKey, Replica] = {}
+        self._expiry: list[tuple[float, ReplicaKey]] = []  # may hold stale entries
+        self._not_live: set[ReplicaKey] = set()
+        self._by_item: dict[str, set[ReplicaKey]] = {}
         self._used = 0
         self._used_by_owner: dict[str, int] = {}
         self._merge_counter = 0
@@ -144,7 +156,10 @@ class ReplicaStore:
         return self._used_by_owner.get(owner, 0)
 
     def free_bytes(self, now: float) -> int:
-        """Advertised admission space: quota minus usage after a purge."""
+        """Advertised admission space: quota minus usage after a purge.
+
+        Costs one purge, so O(due + non-live) at the current time.
+        """
         self.purge(now)
         return self.quota_bytes - self._used
 
@@ -165,6 +180,11 @@ class ReplicaStore:
 
     def _delete(self, key: ReplicaKey, reason: str) -> None:
         replica = self._replicas.pop(key)
+        self._not_live.discard(key)
+        same_item = self._by_item[key[1]]
+        same_item.discard(key)
+        if not same_item:
+            del self._by_item[key[1]]
         self._used -= replica.size_bytes
         owner_used = self._used_by_owner[replica.owner] - replica.size_bytes
         if owner_used:
@@ -175,7 +195,13 @@ class ReplicaStore:
             self._on_delete(replica, reason)
 
     def _insert(self, replica: Replica) -> None:
-        self._replicas[replica.key] = replica
+        key = replica.key
+        self._replicas[key] = replica
+        if replica.lifetime is not None:
+            heapq.heappush(self._expiry, (replica.lifetime, key))
+        if replica.state is not ReplicaState.LIVE:
+            self._not_live.add(key)
+        self._by_item.setdefault(key[1], set()).add(key)
         self._used += replica.size_bytes
         self._used_by_owner[replica.owner] = (
             self._used_by_owner.get(replica.owner, 0) + replica.size_bytes
@@ -184,16 +210,29 @@ class ReplicaStore:
     # -- lifecycle ------------------------------------------------------
 
     def purge(self, now: float) -> list[ReplicaKey]:
-        """Delete expired replicas and unpinned useless ones. Idempotent."""
+        """Delete expired replicas and unpinned useless ones. Idempotent.
+
+        Deletions happen in key order, and a replica both expired and
+        useless goes as expired; pinned useless replicas stay. Only the
+        replicas due to expire by `now` and those no longer live are
+        looked at, so the cost is O(due + non-live), not O(store).
+        """
+        due: set[ReplicaKey] = set()
+        expiry = self._expiry
+        while expiry and expiry[0][0] <= now:
+            lifetime, key = heapq.heappop(expiry)
+            replica = self._replicas.get(key)
+            if replica is not None and replica.lifetime == lifetime:
+                due.add(key)
         deleted: list[ReplicaKey] = []
-        for key in sorted(self._replicas):
-            replica = self._replicas[key]
-            if replica.expired(now):
+        for key in sorted(due | self._not_live):
+            if key in due:
                 self._delete(key, "expired")
-                deleted.append(key)
-            elif replica.state is not ReplicaState.LIVE and not self._pinned(replica):
+            elif self._pinned(self._replicas[key]):
+                continue
+            else:
                 self._delete(key, "useless")
-                deleted.append(key)
+            deleted.append(key)
         return deleted
 
     def accept(self, fragment: Fragment, meta: ReplicaMetadata, now: float) -> bool:
@@ -235,24 +274,21 @@ class ReplicaStore:
         including the named version. An owner notice names the owner's
         new current version and outdates everything strictly older.
         Notices for unheld items are silently ignored, and a replica
-        leaves the live state at most once.
+        leaves the live state at most once. Only the named item's
+        replicas are visited.
         """
+        owner_notice = source is NoticeSource.OWNER_NOTICE
+        new_state = ReplicaState.OUTDATED if owner_notice else ReplicaState.CONFIRMED_SAVED
         changed = 0
-        for key in sorted(self._replicas):
+        for key in self._by_item.get(item_id, ()):
             replica = self._replicas[key]
-            if replica.fragment.item_id != item_id:
-                continue
             if replica.state is not ReplicaState.LIVE:
                 continue
-            held = replica.fragment.version
-            if source is NoticeSource.OWNER_NOTICE:
-                if held < version:
-                    replica.state = ReplicaState.OUTDATED
-                    changed += 1
-            else:
-                if held <= version:
-                    replica.state = ReplicaState.CONFIRMED_SAVED
-                    changed += 1
+            held = key[2]
+            if held < version or (held == version and not owner_notice):
+                replica.state = new_state
+                self._not_live.add(key)
+                changed += 1
         return changed
 
     # -- eviction ---------------------------------------------------------

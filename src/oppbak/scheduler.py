@@ -22,7 +22,10 @@ from .reliability import ChannelEstimate, ReliabilityTable
 
 
 class TerminalHandle(Protocol):
-    """What the save loop needs from an encountered terminal."""
+    """What the save loop needs from an encountered terminal.
+
+    Within one meeting, `free_bytes` may change only through `save`.
+    """
 
     terminal_id: str
     channel: ChannelEstimate
@@ -190,14 +193,20 @@ class Scheduler:
         in this same session share the terminal's fate, so the estimate
         is refolded through the batch update from the session-start
         table rather than stacked as independent saves.
+
+        `terminal.free_bytes()` is read at most once between two saves,
+        lazily, at the first eligibility check that needs it: within one
+        meeting only a save changes it.
         """
         outcomes: list[SaveOutcome] = []
         skips: set[VersionKey] = set()
         session_base: dict[VersionKey, ReliabilityTable] = {}
         session_count: dict[VersionKey, int] = {}
         channel = terminal.channel
+        free: Optional[int] = None  # the terminal's free bytes, read since the last save
 
         def eligible(key: VersionKey) -> bool:
+            nonlocal free
             if key in skips:
                 return False
             item = self.index.get(key)
@@ -205,7 +214,9 @@ class Scheduler:
                 return True  # pulled then retired below
             if self._next_index.get(key, 0) >= item.n:
                 return False  # exhausted: stays queued awaiting a server flush
-            return can_save(terminal, fragment_wire_size(item.size_bytes, item.k))
+            if free is None:
+                free = terminal.free_bytes()
+            return free >= fragment_wire_size(item.size_bytes, item.k)
 
         while link.reachable and len(self.queue):
             key = self.queue.pull(self.deficit_of, eligible)
@@ -235,6 +246,7 @@ class Scheduler:
                     SaveOutcome(item.id, item.version, next_index, size, channel, False)
                 )
                 continue
+            free = None
             session_count[key] = m
             self._next_index[key] = next_index + 1
             outcomes.append(

@@ -402,6 +402,35 @@ def generate_events(config: ScenarioConfig) -> list[Event]:
 # -- the simulation -----------------------------------------------------------
 
 
+class _Tables(dict):
+    """Reliability table per version, plus the composite success memo.
+
+    `success` maps a version to its memoised `composite_success`, which
+    reads the tables and server status of the version and its dependency
+    closure. Replacing a table forgets the memo, as must a version
+    reaching the server (`forget`). Forgetting covers the version's full
+    reverse-dependency closure: a dependent can be memoised while its
+    dependency is not, so the walk cannot stop at the first gap. The map
+    holds no reference to the simulation, so it adds no reference cycle.
+    """
+
+    def __init__(self, index: VersionIndex) -> None:
+        super().__init__()
+        self.index = index
+        self.success: dict[VersionKey, float] = {}
+
+    def __setitem__(self, key: VersionKey, table: ReliabilityTable) -> None:
+        super().__setitem__(key, table)
+        self.forget(key)
+
+    def forget(self, key: VersionKey) -> None:
+        success = self.success
+        success.pop(key, None)
+        if success:
+            for dependent in self.index.transitive_dependents(key):
+                success.pop(dependent, None)
+
+
 class Simulation:
     """Mutable world state for one run. Use `run(config)` unless poking at it."""
 
@@ -413,7 +442,7 @@ class Simulation:
         self.producers = self.names[: config.terminals.producers]
         self.alive: dict[str, bool] = {t: True for t in self.names}
         self.index = VersionIndex()
-        self.tables: dict[VersionKey, ReliabilityTable] = {}
+        self.tables = _Tables(self.index)
         self.payloads: dict[VersionKey, bytes] = {}
         self.fragment_sets: dict[VersionKey, FragmentSet] = {}
         self.owned_ids: dict[str, list[str]] = {t: [] for t in self.producers}
@@ -489,7 +518,12 @@ class Simulation:
             points.append((self.now, used))
 
     def success_of(self, key: VersionKey) -> float:
-        return composite_success(self.index.get(key), self.tables, self.index)
+        """Composite restore probability of a version, memoised per version."""
+        memo = self.tables.success
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = composite_success(self.index.get(key), self.tables, self.index)
+        return value
 
     def _fragment_for(self, key: VersionKey, i: int):
         return self.fragment_sets[key].fragments[i]
@@ -590,6 +624,7 @@ class Simulation:
 
     def _mark_served(self, key: VersionKey) -> None:
         self.index.mark_on_server(key)
+        self.tables.forget(key)
         item_id, version = key
         if self.served_max.get(item_id, 0) < version:
             self.served_max[item_id] = version
@@ -822,6 +857,13 @@ class Simulation:
         return ()
 
     def run(self) -> MetricsReport:
+        """Process the generated timeline to the horizon and report.
+
+        Stores and schedulers call back into the simulation, so they are
+        released once the report exists: a finished run is then freed by
+        reference counting alone, payloads included, without waiting for
+        the cycle collector.
+        """
         heap: list[tuple[float, int, Event]] = []
         seq = 0
         for event in generate_events(self.config):
@@ -833,7 +875,10 @@ class Simulation:
                 heapq.heappush(heap, (follow_up.time, seq, follow_up))
                 seq += 1
         self.now = self.config.horizon_s
-        return self._final_report()
+        report = self._final_report()
+        self.stores.clear()
+        self.schedulers.clear()
+        return report
 
     def finish(self) -> MetricsReport:
         """Close a scripted run at the horizon and classify every item."""

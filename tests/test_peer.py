@@ -109,6 +109,47 @@ class TestNotify:
         assert store.get(("t00", "a", 1, 0)).state is ReplicaState.OUTDATED
 
 
+class TestPurge:
+    def test_key_order_reasons_and_pinned_kept(self):
+        deletions = []
+        store = ReplicaStore(
+            "p", 10_000,
+            pin_check=lambda item_id, version: item_id == "pinned",
+            on_delete=lambda replica, reason: deletions.append((replica.key[1], reason)),
+        )
+        for item_id, lifetime in (("d", 10.0), ("c", None), ("b", 30.0),
+                                  ("a", 20.0), ("pinned", None)):
+            store.accept(frag(item_id), meta(lifetime=lifetime), now=0.0)
+        for item_id in ("c", "a", "pinned"):
+            store.notify(NoticeSource.OWNER_NOTICE, item_id, 2)
+        assert store.purge(now=5.0) == [("t00", "a", 1, 0), ("t00", "c", 1, 0)]
+        # in key order, not insertion order; the pinned outdated copy stays
+        assert deletions == [("a", "useless"), ("c", "useless")]
+        assert store.purge(now=25.0) == [("t00", "d", 1, 0)]
+        assert store.purge(now=25.0) == []
+        assert deletions[-1] == ("d", "expired")
+        assert ("t00", "pinned", 1, 0) in store and ("t00", "b", 1, 0) in store
+
+    def test_expired_and_useless_reports_expired(self):
+        deletions = []
+        store = ReplicaStore("p", 10_000,
+                             on_delete=lambda replica, reason: deletions.append(reason))
+        store.accept(frag("a"), meta(lifetime=10.0), now=0.0)
+        store.notify(NoticeSource.SERVER_NOTICE, "a", 1)
+        store.purge(now=10.0)
+        assert deletions == ["expired"]
+
+    def test_reinserted_key_expires_on_its_own_lifetime(self):
+        store = ReplicaStore("p", 10_000)
+        store.accept(frag("a"), meta(lifetime=10.0), now=0.0)
+        store.notify(NoticeSource.SERVER_NOTICE, "a", 1)
+        assert store.purge(now=1.0) == [("t00", "a", 1, 0)]
+        store.accept(frag("a"), meta(lifetime=50.0), now=2.0)
+        assert store.purge(now=20.0) == []  # the first copy's expiry is stale
+        assert store.purge(now=50.0) == [("t00", "a", 1, 0)]
+        assert store.used_bytes == store.recomputed_used_bytes() == 0
+
+
 class TestEvict:
     def test_age_criterion(self):
         store = ReplicaStore("p", 600, w_res=0.0, w_size=0.0)

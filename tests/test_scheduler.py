@@ -24,8 +24,10 @@ class FakeTerminal:
         self.quota = quota
         self.reject = reject
         self.saved = []
+        self.reads = 0
 
     def free_bytes(self):
+        self.reads += 1
         return self.quota
 
     def save(self, fragment, item, declared_success):
@@ -183,6 +185,16 @@ class TestOnMeeting:
         for key in scheduler.queue.keys():
             item = scheduler.index.get(key)
             assert not can_save(terminal, fragment_wire_size(item.size_bytes, item.k))
+
+    def test_free_space_read_once_between_saves(self):
+        items = [make_item(f"i{j}", priority=0.9, size=100) for j in range(4)]
+        scheduler = build_scheduler(items)
+        for item in items:
+            scheduler.enqueue(item, 0.0)
+        terminal = FakeTerminal(p=0.5, quota=2 * fragment_wire_size(100, 1))
+        scheduler.on_meeting(terminal, LinkSession(10**9))
+        assert [s[0] for s in terminal.saved] == ["i0", "i1"]  # a third does not fit
+        assert terminal.reads == 3  # before each save, then once to find nothing fits
 
     def test_fragment_conservation(self):
         item = make_item("a", priority=1.0, n=3, k=2, size=300)

@@ -1,9 +1,12 @@
+import gc
 import json
+import weakref
 
 import pytest
 
 from oppbak.dispersal import fragment_wire_size
 from oppbak.model import DataItem
+from oppbak.reliability import ReliabilityTable, composite_success
 from oppbak.scenario import ConfigError, config_from_dict
 from oppbak.sim import (
     DataProducedEvent,
@@ -222,6 +225,39 @@ class TestPinningTrace:
         assert len(deletions) == 1 and deletions[0].startswith("70.0")
 
 
+class TestSuccessMemo:
+    """The memo must track every change below a version, however deep."""
+
+    def chain(self):
+        sim = Simulation(quiet_config(payload_mode=False))
+        keys = [("t00/d0000", v) for v in (1, 2, 3)]
+        for version, size in zip((1, 2, 3), (500, 5000, 5000)):
+            deps = ((keys[version - 2],) if version > 1 else ())
+            produce(sim, float(version),
+                    item_spec(size=size, version=version, deps=deps, priority=0.99))
+        for key in keys:
+            sim.tables[key] = ReliabilityTable.fresh(2).add_batch_same_terminal(0.9, 2)
+        return sim, keys
+
+    def fresh(self, sim, key):
+        return composite_success(sim.index.get(key), sim.tables, sim.index)
+
+    def test_table_replacement_reaches_transitive_dependents(self):
+        sim, (v1, v2, v3) = self.chain()
+        assert sim.success_of(v3) == pytest.approx(0.9 ** 3)
+        sim.tables[v1] = ReliabilityTable.fresh(2).add_batch_same_terminal(0.5, 2)
+        assert sim.success_of(v3) == self.fresh(sim, v3) == pytest.approx(0.5 * 0.81)
+
+    def test_reaching_the_server_reaches_transitive_dependents(self):
+        sim, (v1, v2, v3) = self.chain()
+        assert sim.success_of(v3) == pytest.approx(0.9 ** 3)
+        # the budget fits only v1, the smallest; v3 and v2 are pulled first
+        sim.process(InternetWindowEvent(time=10.0, terminal="t00", duration=1.0,
+                                        bandwidth=500.0))
+        assert sim.index.is_on_server(v1) and not sim.index.is_on_server(v2)
+        assert sim.success_of(v3) == self.fresh(sim, v3) == pytest.approx(0.81)
+
+
 def busy_config(seed=7, **overrides):
     base = {
         "seed": seed,
@@ -291,6 +327,18 @@ class TestGeneratedRuns:
         report = run(busy_config(seed=12))
         rebuilt = MetricsReport.from_json_dict(json.loads(report.json_bytes()))
         assert rebuilt == report
+
+    def test_finished_run_is_freed_without_the_cycle_collector(self):
+        sim = Simulation(busy_config(seed=15))
+        ref = weakref.ref(sim)
+        gc.disable()
+        try:
+            report = sim.run()
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert report.fragments_saved > 0
 
     def test_invalid_config_fails_before_any_event(self):
         with pytest.raises(ConfigError):
