@@ -53,7 +53,6 @@ from .scheduler import (
     LinkSession,
     SaveOutcome,
     Scheduler,
-    can_save,
 )
 from .sim import (
     BatchReport,
@@ -113,7 +112,6 @@ __all__ = [
     "VersionRecord",
     "agglomerate",
     "calibration_check",
-    "can_save",
     "composite_success",
     "config_from_dict",
     "detect_conflict",

@@ -98,8 +98,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    if args.replications < 1:
-        raise ConfigError(f"--replications must be >= 1, got {args.replications}")
     config = load_scenario(args.scenario, seed_override=args.seed)
     report = run_batch(config, args.replications)
     _emit(_FORMATTERS[args.format](report), args.output)
@@ -166,10 +164,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, UsageError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ConfigError, UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # noqa: BLE001 - contract: runtime failures exit 1

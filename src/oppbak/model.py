@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Mapping, Optional, TypeVar
 
 VersionKey = tuple[str, int]
+Node = TypeVar("Node", bound=Hashable)
 
 
 class UsageError(ValueError):
@@ -116,7 +117,6 @@ class VersionRecord:
     version: int
     on_server: bool
     peer_holdings: Mapping[str, frozenset[int]]
-    pinned: bool
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,6 @@ class VersionIndex:
 
     def __init__(self) -> None:
         self._items: dict[VersionKey, DataItem] = {}
-        self._order: dict[VersionKey, int] = {}
         self._rdeps: dict[VersionKey, set[VersionKey]] = {}
         self._latest: dict[str, int] = {}
         self._on_server: set[VersionKey] = set()
@@ -163,7 +162,6 @@ class VersionIndex:
             if dep not in self._items:
                 raise IntegrityError(f"dependency {dep} of {key} is not registered")
         self._items[key] = item
-        self._order[key] = len(self._order)
         self._latest[item.id] = item.version
         for dep in item.temporal_deps:
             self._rdeps.setdefault(dep, set()).add(key)
@@ -230,28 +228,22 @@ class VersionIndex:
 
     # -- dependency queries --------------------------------------------
 
+    def _deps_of(self, key: VersionKey) -> tuple[VersionKey, ...]:
+        item = self._items.get(key)
+        if item is None:
+            raise IntegrityError(f"dependency {key} is not registered")
+        return item.temporal_deps
+
+    def dependency_closure(self, roots: Iterable[VersionKey]) -> set[VersionKey]:
+        """`roots` and every version they depend on; an unregistered one raises IntegrityError."""
+        return reachable(roots, self._deps_of)
+
     def transitive_deps(self, key: VersionKey) -> set[VersionKey]:
-        seen: set[VersionKey] = set()
-        stack = list(self.get(key).temporal_deps)
-        while stack:
-            dep = stack.pop()
-            if dep in seen:
-                continue
-            seen.add(dep)
-            stack.extend(self.get(dep).temporal_deps)
-        return seen
+        return self.dependency_closure(self.get(key).temporal_deps)
 
     def transitive_dependents(self, key: VersionKey) -> set[VersionKey]:
         """Every version that depends on `key`, directly or not."""
-        seen: set[VersionKey] = set()
-        stack = list(self._rdeps.get(key, ()))
-        while stack:
-            dependent = stack.pop()
-            if dependent in seen:
-                continue
-            seen.add(dependent)
-            stack.extend(self._rdeps.get(dependent, ()))
-        return seen
+        return reachable(self._rdeps.get(key, ()), lambda k: self._rdeps.get(k, ()))
 
     def pinned(self, key: VersionKey) -> bool:
         """True while some dependent newer version is not yet on the server.
@@ -278,7 +270,6 @@ class VersionIndex:
             version=version,
             on_server=self.is_on_server(key),
             peer_holdings=holdings,
-            pinned=self.pinned(key),
         )
 
     def records_for(
@@ -304,7 +295,24 @@ class VersionIndex:
             raise IntegrityError("dependency graph contains a cycle")
 
 
-def _merged_lifetime(lifetimes: Iterable[Optional[float]]) -> Optional[float]:
+def reachable(roots: Iterable[Node], step: Callable[[Node], Iterable[Node]]) -> set[Node]:
+    """Every node reachable from `roots` along `step` edges, roots included.
+
+    The one dependency walk. Its result is a set: callers sort or sum it.
+    """
+    seen: set[Node] = set()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.extend(step(node))
+    return seen
+
+
+def merged_lifetime(lifetimes: Iterable[Optional[float]]) -> Optional[float]:
+    """Lifetime of a unit fused from parts: the longest, unbounded if any is."""
     values = list(lifetimes)
     if any(v is None for v in values):
         return None
@@ -340,7 +348,7 @@ def agglomerate(items: list[DataItem]) -> DataItem:
         k=max(it.k for it in items),
         version=max(it.version for it in items),
         production=max((it.production for it in items), key=order.index),
-        lifetime=_merged_lifetime(it.lifetime for it in items),
+        lifetime=merged_lifetime(it.lifetime for it in items),
         temporal_deps=tuple(deps),
         mergeable=all(it.mergeable for it in items),
         stream=streams.pop() if len(streams) == 1 else None,
@@ -355,28 +363,13 @@ def propagate_priority(
     Returns the versions whose priority actually changed, with their new
     value. Applying the operation twice is a no-op.
     """
-    for dep in new_item.temporal_deps:
-        if dep not in index:
-            raise IntegrityError(f"dependency {dep} of {new_item.key} is not registered")
     raised: dict[VersionKey, float] = {}
-    for dep in sorted(_closure_from(index, new_item.temporal_deps)):
+    for dep in sorted(index.dependency_closure(new_item.temporal_deps)):
         current = index.get(dep).priority
         if new_item.priority > current:
             index.set_priority(dep, new_item.priority)
             raised[dep] = new_item.priority
     return raised
-
-
-def _closure_from(index: VersionIndex, roots: Iterable[VersionKey]) -> set[VersionKey]:
-    seen: set[VersionKey] = set()
-    stack = list(roots)
-    while stack:
-        key = stack.pop()
-        if key in seen:
-            continue
-        seen.add(key)
-        stack.extend(index.get(key).temporal_deps)
-    return seen
 
 
 def detect_conflict(

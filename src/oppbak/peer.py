@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from .dispersal import HEADER_SIZE, chunk_size
-from .model import Fragment, UsageError, VersionKey
+from .model import Fragment, UsageError, VersionKey, merged_lifetime, reachable
 
 ReplicaKey = tuple[str, str, int, int]  # (owner, item id, version, fragment index)
 
@@ -60,24 +60,18 @@ class ReplicaMetadata:
 
 @dataclass
 class Replica:
-    """One held fragment plus its lifecycle state."""
+    """One held fragment, the owner's metadata for it, and its lifecycle state."""
 
     fragment: Fragment
-    owner: str
-    priority: float
-    declared_success: float
+    meta: ReplicaMetadata
     received_at: float
-    lifetime: Optional[float] = None
-    temporal_deps: tuple[VersionKey, ...] = ()
-    mergeable: bool = False
-    stream: Optional[str] = None
     state: ReplicaState = ReplicaState.LIVE
     sources: frozenset[tuple[str, str, int]] = frozenset()
 
     @property
     def key(self) -> ReplicaKey:
         f = self.fragment
-        return (self.owner, f.item_id, f.version, f.index)
+        return (self.meta.owner, f.item_id, f.version, f.index)
 
     @property
     def version_key(self) -> VersionKey:
@@ -91,7 +85,7 @@ class Replica:
         return HEADER_SIZE + chunk_size(f.original_size, f.k)
 
     def expired(self, now: float) -> bool:
-        return self.lifetime is not None and now >= self.lifetime
+        return self.meta.lifetime is not None and now >= self.meta.lifetime
 
 
 PinCheck = Callable[[str, int], bool]
@@ -110,8 +104,8 @@ class ReplicaStore:
     no longer live, and the keys held per item id. A purge therefore
     costs O(due + non-live) rather than a sort of the whole store, and a
     notice touches only the named item's replicas. A replica's `state`
-    changes only through `notify`, and its `lifetime` not at all, while
-    it is held.
+    changes only through `notify`, and its frozen `meta` not at all,
+    while it is held.
     """
 
     def __init__(
@@ -186,26 +180,26 @@ class ReplicaStore:
         if not same_item:
             del self._by_item[key[1]]
         self._used -= replica.size_bytes
-        owner_used = self._used_by_owner[replica.owner] - replica.size_bytes
+        owner = replica.meta.owner
+        owner_used = self._used_by_owner[owner] - replica.size_bytes
         if owner_used:
-            self._used_by_owner[replica.owner] = owner_used
+            self._used_by_owner[owner] = owner_used
         else:
-            del self._used_by_owner[replica.owner]
+            del self._used_by_owner[owner]
         if self._on_delete is not None:
             self._on_delete(replica, reason)
 
     def _insert(self, replica: Replica) -> None:
         key = replica.key
         self._replicas[key] = replica
-        if replica.lifetime is not None:
-            heapq.heappush(self._expiry, (replica.lifetime, key))
+        if replica.meta.lifetime is not None:
+            heapq.heappush(self._expiry, (replica.meta.lifetime, key))
         if replica.state is not ReplicaState.LIVE:
             self._not_live.add(key)
         self._by_item.setdefault(key[1], set()).add(key)
         self._used += replica.size_bytes
-        self._used_by_owner[replica.owner] = (
-            self._used_by_owner.get(replica.owner, 0) + replica.size_bytes
-        )
+        owner = replica.meta.owner
+        self._used_by_owner[owner] = self._used_by_owner.get(owner, 0) + replica.size_bytes
 
     # -- lifecycle ------------------------------------------------------
 
@@ -222,7 +216,7 @@ class ReplicaStore:
         while expiry and expiry[0][0] <= now:
             lifetime, key = heapq.heappop(expiry)
             replica = self._replicas.get(key)
-            if replica is not None and replica.lifetime == lifetime:
+            if replica is not None and replica.meta.lifetime == lifetime:
                 due.add(key)
         deleted: list[ReplicaKey] = []
         for key in sorted(due | self._not_live):
@@ -244,14 +238,8 @@ class ReplicaStore:
         """
         replica = Replica(
             fragment=fragment,
-            owner=meta.owner,
-            priority=meta.priority,
-            declared_success=meta.declared_success,
+            meta=meta,
             received_at=now,
-            lifetime=meta.lifetime,
-            temporal_deps=meta.temporal_deps,
-            mergeable=meta.mergeable,
-            stream=meta.stream,
             sources=frozenset({(meta.owner, fragment.item_id, fragment.version)}),
         )
         self.purge(now)
@@ -298,24 +286,14 @@ class ReplicaStore:
         edges: dict[VersionKey, set[VersionKey]] = {}
         sizes: dict[VersionKey, int] = {}
         for replica in self._replicas.values():
-            if replica.owner != target.owner:
+            if replica.meta.owner != target.meta.owner:
                 continue
             vk = replica.version_key
             sizes[vk] = sizes.get(vk, 0) + replica.size_bytes
-            for dep in replica.temporal_deps:
+            for dep in replica.meta.temporal_deps:
                 edges.setdefault(dep, set()).add(vk)
-        bulk = 0
-        seen: set[VersionKey] = set()
-        stack = [target.version_key]
-        while stack:
-            vk = stack.pop()
-            for dependent in edges.get(vk, ()):
-                if dependent in seen:
-                    continue
-                seen.add(dependent)
-                bulk += sizes.get(dependent, 0)
-                stack.append(dependent)
-        return bulk
+        dependents = reachable(edges.get(target.version_key, ()), lambda vk: edges.get(vk, ()))
+        return sum(sizes.get(vk, 0) for vk in dependents)
 
     def evict(self, needed_bytes: int, now: float) -> list[ReplicaKey]:
         """Free at least `needed_bytes`, cheapest casualties first.
@@ -343,10 +321,10 @@ class ReplicaStore:
         for replica, age, bulk in zip(candidates, ages, bulks):
             score = (
                 self.w_age * _minmax(age, ages)
-                + self.w_res * max(0.0, replica.declared_success - replica.priority)
+                + self.w_res * max(0.0, replica.meta.declared_success - replica.meta.priority)
                 + self.w_size * _minmax(bulk, bulks)
             )
-            scored.append((-score, replica.owner, replica.key))
+            scored.append((-score, replica.meta.owner, replica.key))
         for _, _, key in sorted(scored):
             if key not in self._replicas:
                 continue
@@ -377,13 +355,13 @@ class ReplicaStore:
             return replicas[0].key
         for replica in replicas:
             f = replica.fragment
-            if not replica.mergeable:
+            if not replica.meta.mergeable:
                 raise UsageError(f"replica {replica.key} is not mergeable")
             if f.n != 1 or f.k != 1:
                 raise UsageError(f"replica {replica.key} is fragmented, not a whole copy")
             if f.payload is None:
                 raise UsageError(f"replica {replica.key} carries no payload to merge")
-        streams = {r.stream for r in replicas}
+        streams = {r.meta.stream for r in replicas}
         if len(streams) != 1 or None in streams:
             raise UsageError(f"replicas belong to different streams: {sorted(map(str, streams))}")
         entries: set[bytes] = set()
@@ -402,14 +380,16 @@ class ReplicaStore:
         )
         merged = Replica(
             fragment=merged_fragment,
-            owner=min(r.owner for r in replicas),
-            priority=max(r.priority for r in replicas),
-            declared_success=max(r.declared_success for r in replicas),
+            meta=ReplicaMetadata(
+                owner=min(r.meta.owner for r in replicas),
+                priority=max(r.meta.priority for r in replicas),
+                declared_success=max(r.meta.declared_success for r in replicas),
+                lifetime=merged_lifetime(r.meta.lifetime for r in replicas),
+                temporal_deps=tuple(sorted({d for r in replicas for d in r.meta.temporal_deps})),
+                mergeable=True,
+                stream=streams.pop(),
+            ),
             received_at=min(r.received_at for r in replicas),
-            lifetime=_longest(r.lifetime for r in replicas),
-            temporal_deps=tuple(sorted({d for r in replicas for d in r.temporal_deps})),
-            mergeable=True,
-            stream=streams.pop(),
             sources=frozenset().union(*(r.sources for r in replicas)),
         )
         for replica in replicas:
@@ -443,9 +423,3 @@ def _minmax(value: float, population: list) -> float:
         return 0.0
     return (value - lo) / (hi - lo)
 
-
-def _longest(lifetimes: Iterable[Optional[float]]) -> Optional[float]:
-    values = list(lifetimes)
-    if any(v is None for v in values):
-        return None
-    return max(values)  # type: ignore[type-var, arg-type]

@@ -74,12 +74,7 @@ class ReliabilityTable:
 
     def add_fragment(self, c: ProbLike) -> "ReliabilityTable":
         """Fold in one fragment saved on its own independent channel."""
-        p = _prob(c)
-        return ReliabilityTable(
-            k=self.k,
-            table=_bump(self.table, self.k, p, 1),
-            fragments_saved=self.fragments_saved + 1,
-        )
+        return self.add_batch_same_terminal(c, 1)
 
     def add_batch_same_terminal(self, c: ProbLike, m: int) -> "ReliabilityTable":
         """Fold in m fragments that share one terminal and one session.
@@ -102,8 +97,7 @@ class ReliabilityTable:
         return self.table[self.k]
 
 
-def new_table(k: int) -> ReliabilityTable:
-    return ReliabilityTable.fresh(k)
+new_table = ReliabilityTable.fresh
 
 
 def composite_success(
@@ -118,9 +112,8 @@ def composite_success(
     no matter how many dependency paths reach it, and a version already
     on the server contributes 1.
     """
-    keys = {item.key} | _dep_closure(item, index)
     product = 1.0
-    for key in sorted(keys):
+    for key in sorted(index.dependency_closure(item.temporal_deps) | {item.key}):
         if index.is_on_server(key):
             continue
         table = tables.get(key)
@@ -128,17 +121,3 @@ def composite_success(
             raise IntegrityError(f"no reliability table for {key} and not on server")
         product *= table.success
     return product
-
-
-def _dep_closure(item: "DataItem", index: "VersionIndex") -> set[VersionKey]:
-    seen: set[VersionKey] = set()
-    stack = list(item.temporal_deps)
-    while stack:
-        key = stack.pop()
-        if key in seen:
-            continue
-        if key not in index:
-            raise IntegrityError(f"dependency {key} of {item.key} is not registered")
-        seen.add(key)
-        stack.extend(index.get(key).temporal_deps)
-    return seen

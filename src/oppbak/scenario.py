@@ -1,17 +1,18 @@
 """Declarative world description for simulation runs.
 
 A scenario is a single JSON document mirroring ``ScenarioConfig``.
-Unknown keys anywhere in the document are a hard error so that a typo in
-an experiment file fails loudly instead of silently running defaults.
+Unknown keys and values of the wrong type anywhere in the document are a
+hard error, so a typo in an experiment file fails loudly at load time.
 Every section may be omitted to take its defaults.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Optional, Union, get_args, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -129,44 +130,45 @@ class ScenarioConfig:
         return asdict(self)
 
 
-_SECTIONS = {
-    "terminals": TerminalsSpec,
-    "workload": WorkloadSpec,
-    "mobility": MobilitySpec,
-    "infrastructure": InfrastructureSpec,
-    "failures": FailureSpec,
-    "eviction": EvictionSpec,
-}
+@cache
+def _field_types(cls: type) -> dict[str, Any]:
+    """Field name -> annotation of a document class, resolved once per class."""
+    return get_type_hints(cls)
+
+
+def _type_ok(value: Any, hint: Any) -> bool:
+    """JSON value against a field annotation: an int passes as a float, a bool only as a bool."""
+    allowed = get_args(hint) or (hint,)
+    if float in allowed:
+        allowed += (int,)
+    return isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool))
 
 
 def _build(cls: type, data: Any, where: str) -> Any:
+    """One document class from a JSON object; `where` is its dotted path."""
+    label = where or "scenario root"
     if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - allowed)
+        raise ConfigError(f"{label}: expected an object, got {type(data).__name__}")
+    types = _field_types(cls)
+    unknown = sorted(set(data) - set(types))
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
-    return cls(**data)
+        raise ConfigError(f"{label}: unknown key(s) {', '.join(unknown)}")
+    kwargs: dict[str, Any] = {}
+    for name, value in data.items():
+        path = f"{where}.{name}" if where else name
+        hint = types[name]
+        if is_dataclass(hint):
+            kwargs[name] = _build(hint, value, path)
+        elif _type_ok(value, hint):
+            kwargs[name] = value
+        else:
+            names = [t.__name__.replace("NoneType", "null") for t in get_args(hint) or (hint,)]
+            raise ConfigError(f"{path}: expected {' or '.join(names)}, got {type(value).__name__}")
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ConfigError(f"scenario root: expected an object, got {type(data).__name__}")
-    top_allowed = {f.name for f in fields(ScenarioConfig)}
-    unknown = sorted(set(data) - top_allowed)
-    if unknown:
-        raise ConfigError(f"scenario root: unknown key(s) {', '.join(unknown)}")
-    kwargs: dict[str, Any] = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            kwargs[key] = _build(_SECTIONS[key], value, key)
-        else:
-            kwargs[key] = value
-    try:
-        config = ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config.validate()
+    return _build(ScenarioConfig, data, "").validate()
 
 
 def load_scenario(path: Union[str, Path], seed_override: Optional[int] = None) -> ScenarioConfig:

@@ -35,11 +35,6 @@ class TerminalHandle(Protocol):
     def save(self, fragment: Fragment, item: DataItem, declared_success: float) -> bool: ...
 
 
-def can_save(terminal: TerminalHandle, fragment_size: int) -> bool:
-    """Quota gate: the terminal's advertised free space fits the fragment."""
-    return terminal.free_bytes() >= fragment_size
-
-
 @dataclass(frozen=True)
 class SaveOutcome:
     """Record of one completed fragment transfer during a meeting."""
@@ -109,9 +104,6 @@ class BackupQueue:
         self._entries[key] = self._next_seq
         self._next_seq += 1
         return True
-
-    def discard(self, key: VersionKey) -> None:
-        self._entries.pop(key, None)
 
     def pull(
         self,

@@ -35,6 +35,7 @@ from typing import Any, Callable, Optional, Union
 from .dispersal import FragmentSet, reconstruct, split
 from .model import (
     DataItem,
+    Fragment,
     IntegrityError,
     Location,
     Production,
@@ -199,7 +200,7 @@ class MetricsReport:
 
 @dataclass(frozen=True)
 class BatchReport:
-    """Replicated-run aggregate: per-metric mean and 95% normal interval."""
+    """Replicated-run aggregate: per-metric mean and 95% Student-t interval."""
 
     seed: int
     replications: int
@@ -446,8 +447,7 @@ class Simulation:
         self.payloads: dict[VersionKey, bytes] = {}
         self.fragment_sets: dict[VersionKey, FragmentSet] = {}
         self.owned_ids: dict[str, list[str]] = {t: [] for t in self.producers}
-        self.server_fragments: dict[VersionKey, set[int]] = {}
-        self.server_fragment_objects: dict[VersionKey, dict[int, Any]] = {}
+        self.server_fragments: dict[VersionKey, dict[int, Fragment]] = {}
         self.served_max: dict[str, int] = {}
         self.fates: dict[tuple[str, str, int, int], bool] = {}
         self.bytes_to_peers = 0
@@ -566,7 +566,7 @@ class Simulation:
         store = self.stores[peer]
         held: dict[str, int] = {}
         for replica in store.replicas():
-            if replica.owner == owner and replica.version_key in self.index:
+            if replica.meta.owner == owner and replica.version_key in self.index:
                 item_id = replica.fragment.item_id
                 held[item_id] = max(held.get(item_id, 0), replica.fragment.version)
         for item_id in sorted(held):
@@ -678,18 +678,14 @@ class Simulation:
                 continue
             if replica.state is ReplicaState.OUTDATED and not self._pin_check(*key):
                 continue  # superseded and protecting nothing: not worth budget
-            have = self.server_fragments.setdefault(key, set())
+            have = self.server_fragments.setdefault(key, {})
             if replica.fragment.index in have:
                 continue
             size = replica.size_bytes
             if size > budget:
                 break
             budget -= size
-            have.add(replica.fragment.index)
-            if self.config.payload_mode:
-                self.server_fragment_objects.setdefault(key, {})[
-                    replica.fragment.index
-                ] = replica.fragment
+            have[replica.fragment.index] = replica.fragment
             self.bytes_to_server += size
             uploaded_ids.add(key[0])
             self._trace(
@@ -728,14 +724,10 @@ class Simulation:
         self._trace(f"{self.now:.6f} FAIL terminal={terminal} bytes=0")
         if terminal not in self.schedulers:
             return ()
-        episodes: list[tuple[VersionKey, float]] = []
-        for item_id in sorted(self.owned_ids[terminal]):
-            key = (item_id, self.index.latest_version(item_id))
-            if self.index.get(key).expired(self.now):
-                continue
-            predicted = 1.0 if self.index.is_on_server(key) else self.success_of(key)
-            episodes.append((key, predicted))
-        self.pending_restores[terminal] = episodes
+        self.pending_restores[terminal] = [
+            (item.key, 1.0 if self.index.is_on_server(item.key) else self.success_of(item.key))
+            for item in self._current_items(sorted(self.owned_ids[terminal]))
+        ]
         return (
             RestoreAttemptEvent(
                 time=self.now + self.config.restore_delay_s, owner=terminal
@@ -744,11 +736,15 @@ class Simulation:
 
     # -- restorability ----------------------------------------------------
 
-    def _retrievable_indices(self, key: VersionKey) -> dict[int, Any]:
-        """Fragment indices reachable right now, with payload sources."""
-        found: dict[int, Any] = {}
-        for idx in sorted(self.server_fragments.get(key, ())):
-            found[idx] = self.server_fragment_objects.get(key, {}).get(idx)
+    def _current_items(self, item_ids: list[str]) -> list[DataItem]:
+        """Latest version of each item, less expired ones: what restores and losses count."""
+        items = (self.index.get((i, self.index.latest_version(i))) for i in item_ids)
+        return [item for item in items if not item.expired(self.now)]
+
+    def _retrievable_indices(self, key: VersionKey) -> dict[int, Fragment]:
+        """Fragments reachable right now: server indices ascending, then peers'."""
+        on_server = self.server_fragments.get(key, {})
+        found = {idx: on_server[idx] for idx in sorted(on_server)}
         item_id, version = key
         for terminal, indices in sorted(self.index.peer_holdings(key).items()):
             if not self.alive[terminal]:
@@ -776,8 +772,7 @@ class Simulation:
             available = self._retrievable_indices(key)
             own_ok = len(available) >= item.k
             if own_ok and self.config.payload_mode:
-                fragments = [f for f in available.values() if f is not None]
-                rebuilt = reconstruct(fragments[: item.k])
+                rebuilt = reconstruct(list(available.values())[: item.k])
                 if rebuilt != self.payloads[key]:
                     raise IntegrityError(f"reconstruction of {key} does not match the original")
         ok = own_ok and all(self._restorable(d, memo) for d in item.temporal_deps)
@@ -897,14 +892,11 @@ class Simulation:
                 outcome = OUTCOME_LOST
             outcomes[f"{key[0]}@{key[1]}"] = outcome
 
-        measured: list[tuple[DataItem, str]] = []
-        for owner in self.producers:
-            for item_id in self.owned_ids[owner]:
-                key = (item_id, self.index.latest_version(item_id))
-                item = self.index.get(key)
-                if item.expired(self.now):
-                    continue
-                measured.append((item, outcomes[f"{key[0]}@{key[1]}"]))
+        measured = [
+            (item, outcomes[f"{item.id}@{item.version}"])
+            for owner in self.producers
+            for item in self._current_items(self.owned_ids[owner])
+        ]
         lost = sum(1 for _, o in measured if o == OUTCOME_LOST)
         loss_ratio = lost / len(measured) if measured else 0.0
         by_band: dict[str, float] = {}
@@ -966,6 +958,29 @@ def run(config: ScenarioConfig, trace: Optional[TraceSink] = None) -> MetricsRep
     return Simulation(config, trace=trace).run()
 
 
+def _t_critical(df: int) -> float:
+    """t(0.975, df): the two-sided 95% Student-t critical value, for integer df >= 1.
+
+    Bisects P(|T| < t) = 0.95 on [0, 13] (t(0.975, 1) is 12.71), with that
+    probability's finite sum for integer df (Abramowitz & Stegun 26.7.3-4).
+    """
+    lo, hi = 0.0, 13.0
+    for _ in range(60):
+        t = 0.5 * (lo + hi)
+        theta = math.atan(t / math.sqrt(df))
+        cos, odd = math.cos(theta), df % 2
+        term, total = (cos if odd else 1.0), 0.0
+        for j in range((df - odd) // 2):
+            if j:
+                term *= cos * cos * (2 * j - 1 + odd) / (2 * j + odd)
+            total += term
+        mass = math.sin(theta) * total
+        if odd:
+            mass = 2.0 / math.pi * (theta + mass)
+        lo, hi = (t, hi) if mass < 0.95 else (lo, t)
+    return 0.5 * (lo + hi)
+
+
 def run_batch(config: ScenarioConfig, replications: int) -> BatchReport:
     """Run `replications` seeds (seed, seed+1, ...) and aggregate metrics."""
     if replications < 1:
@@ -975,15 +990,12 @@ def run_batch(config: ScenarioConfig, replications: int) -> BatchReport:
         replica_config = config_from_dict({**config.to_dict(), "seed": config.seed + r})
         reports.append(run(replica_config))
     metrics: dict[str, dict[str, float]] = {}
+    t = _t_critical(replications - 1) if replications > 1 else 0.0
     for name in MetricsReport.scalar_metrics:
         values = [float(getattr(rep, name)) for rep in reports]
-        mean = sum(values) / len(values)
-        if len(values) > 1:
-            var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-            half = 1.96 * math.sqrt(var / len(values))
-        else:
-            var = 0.0
-            half = 0.0
+        mean = sum(values) / replications
+        var = sum((v - mean) ** 2 for v in values) / max(replications - 1, 1)
+        half = t * math.sqrt(var / replications)
         metrics[name] = {
             "mean": mean,
             "stdev": math.sqrt(var),

@@ -438,7 +438,7 @@ def test_c10_store_accounting_over_random_op_soup():
         else:
             held = [
                 key for key in mergeable_keys
-                if key in store and store.get(key).mergeable
+                if key in store and store.get(key).meta.mergeable
             ]
             if len(held) >= 2:
                 chosen = rng.sample(held, 2)

@@ -47,6 +47,12 @@ class TestRunCommand:
         assert main(["run", "--scenario", str(path)]) == 2
         assert "speed" in capsys.readouterr().err
 
+    def test_mistyped_scenario_value_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"terminals": {"count": "10"}}')
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert "terminals.count" in capsys.readouterr().err
+
     def test_seed_override_is_byte_identical(self, scenario_path, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         tr1, tr2 = tmp_path / "a.trace", tmp_path / "b.trace"

@@ -171,6 +171,46 @@ class TestPinning:
         assert not index.pinned(("base", 1))
 
 
+class TestDependencyWalk:
+    @staticmethod
+    def _random_dag(index: VersionIndex, rng: random.Random) -> dict:
+        edges = {}
+        for i in range(30):
+            deps = tuple(rng.sample(list(edges), k=min(len(edges), rng.randrange(4))))
+            item = make_item(f"i{i}", deps=deps)
+            index.register(item)
+            edges[item.key] = deps
+        return edges
+
+    def test_closure_matches_brute_force(self, rng: random.Random):
+        for _ in range(20):
+            index = VersionIndex()
+            edges = self._random_dag(index, rng)
+            roots = rng.sample(list(edges), k=rng.randrange(1, 4))
+            # brute force: grow the set until no edge adds anything
+            oracle = set(roots)
+            while True:
+                grown = oracle | {d for key in oracle for d in edges[key]}
+                if grown == oracle:
+                    break
+                oracle = grown
+            assert index.dependency_closure(roots) == oracle
+
+    def test_deps_and_dependents_are_converse(self, rng: random.Random):
+        for _ in range(10):
+            index = VersionIndex()
+            keys = list(self._random_dag(index, rng))
+            for a in keys:
+                deps = index.transitive_deps(a)
+                assert a not in deps
+                for b in keys:
+                    assert (b in deps) == (a in index.transitive_dependents(b))
+
+    def test_unregistered_dependency_errors(self, index: VersionIndex):
+        with pytest.raises(IntegrityError):
+            index.dependency_closure([("ghost", 1)])
+
+
 class TestPropagatePriority:
     def test_raise_direct_dep(self, index: VersionIndex):
         index.register(make_item("old", priority=0.4))

@@ -184,6 +184,19 @@ class TestEvict:
         # base alone is 300 bytes but drags 300 more of dependent bulk
         deleted = store.evict(100, now=10.0)
         assert deleted == [("t00", "base", 1, 0)]
+        # diamond: top reaches base over two paths and still counts once
+        diamond = ReplicaStore("q", 1200)
+        diamond.accept(frag("base", wire_size=300), meta(), now=0.0)
+        for side in ("left", "right"):
+            diamond.accept(
+                frag(side, wire_size=300), meta(temporal_deps=(("base", 1),)), now=0.0
+            )
+        diamond.accept(
+            frag("top", wire_size=300),
+            meta(temporal_deps=(("left", 1), ("right", 1))),
+            now=0.0,
+        )
+        assert diamond._dependency_bulk(diamond.get(("t00", "base", 1, 0))) == 900
 
     def test_rank_matches_formula_oracle(self, rng: random.Random):
         now = 1000.0
@@ -313,7 +326,7 @@ class TestMerge:
         merged = store.get(
             store.merge([("t00", "log1", 1, 0), ("t00", "log2", 1, 0)], now=1.0)
         )
-        assert merged.priority == 0.8
+        assert merged.meta.priority == 0.8
 
     def test_non_mergeable_rejected(self):
         store = ReplicaStore("p", 10**6)
@@ -422,7 +435,8 @@ class TestAccountingProperty:
             else:
                 held = [
                     k for k in mergeables
-                    if k in store and store.get(k).mergeable and store.get(k).stream == "s"
+                    if k in store and store.get(k).meta.mergeable
+                    and store.get(k).meta.stream == "s"
                 ]
                 if len(held) >= 2:
                     picked = rng.sample(held, 2)
@@ -431,7 +445,7 @@ class TestAccountingProperty:
                     mergeables.append(merged_key)
             assert store.used_bytes == store.recomputed_used_bytes()
             assert store.used_bytes <= store.quota_bytes
-            for owner in {r.owner for r in store.replicas()}:
+            for owner in {r.meta.owner for r in store.replicas()}:
                 assert store.used_bytes_of(owner) == sum(
-                    r.size_bytes for r in store.replicas() if r.owner == owner
+                    r.size_bytes for r in store.replicas() if r.meta.owner == owner
                 )

@@ -37,6 +37,32 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="targets"):
             config_from_dict({"failures": {"targets": "everyone"}})
 
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ({"terminals": {"count": "10"}}, "terminals.count"),
+            ({"workload": {"n": 4.5}}, "workload.n"),
+            ({"seed": True}, "seed"),
+            ({"horizon_s": False}, "horizon_s"),
+            ({"payload_mode": 1}, "payload_mode"),
+            ({"mobility": {"bandwidth_bytes_per_s": "fast"}}, "mobility.bandwidth_bytes_per_s"),
+            ({"failures": {"targets": None}}, "failures.targets"),
+            ({"workload": {"lifetime_s": "1h"}}, "workload.lifetime_s"),
+        ],
+    )
+    def test_value_type_names_dotted_field(self, document, field):
+        with pytest.raises(ConfigError, match=rf"^{field}: expected"):
+            config_from_dict(document)
+
+    def test_ints_as_floats_and_null_for_optional(self):
+        config = config_from_dict(
+            {"horizon_s": 60, "terminals": {"true_retrieval": None},
+             "workload": {"lifetime_s": 600}}
+        )
+        assert config.horizon_s == 60
+        assert config.terminals.true_retrieval is None
+        assert config.workload.lifetime_s == 600
+
     def test_round_trip(self):
         config = config_from_dict(
             {"seed": 9, "terminals": {"count": 5, "producers": 2}}

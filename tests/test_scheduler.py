@@ -9,7 +9,6 @@ from oppbak.scheduler import (
     BackupQueue,
     LinkSession,
     Scheduler,
-    can_save,
 )
 
 from conftest import enumeration_success, make_item
@@ -101,13 +100,6 @@ class TestBackupQueue:
         assert ("a", 1) in q
 
 
-class TestCanSave:
-    def test_boundary_inclusive(self):
-        assert can_save(FakeTerminal(quota=1000), 200)
-        assert not can_save(FakeTerminal(quota=100), 200)
-        assert can_save(FakeTerminal(quota=200), 200)
-
-
 class TestEnqueue:
     def test_spec_cases(self):
         high = make_item("a", priority=0.9)
@@ -184,7 +176,7 @@ class TestOnMeeting:
         assert link.reachable and len(scheduler.queue) > 0
         for key in scheduler.queue.keys():
             item = scheduler.index.get(key)
-            assert not can_save(terminal, fragment_wire_size(item.size_bytes, item.k))
+            assert terminal.free_bytes() < fragment_wire_size(item.size_bytes, item.k)
 
     def test_free_space_read_once_between_saves(self):
         items = [make_item(f"i{j}", priority=0.9, size=100) for j in range(4)]

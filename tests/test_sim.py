@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import weakref
 
 import pytest
@@ -15,6 +16,7 @@ from oppbak.sim import (
     MetricsReport,
     Simulation,
     TerminalFailureEvent,
+    _t_critical,
     calibration_check,
     generate_events,
     run,
@@ -384,6 +386,20 @@ class TestBatch:
     def test_zero_replications_rejected(self):
         with pytest.raises(ConfigError):
             run_batch(busy_config(), 0)
+
+    @pytest.mark.parametrize(
+        "df, tabulated", [(1, 12.706), (2, 4.303), (9, 2.262), (29, 2.045), (99, 1.984)]
+    )
+    def test_t_critical_matches_tables(self, df, tabulated):
+        assert _t_critical(df) == pytest.approx(tabulated, abs=1e-3)
+
+    def test_small_batch_interval_is_student_t(self):
+        batch = run_batch(busy_config(seed=24, horizon_s=1800.0), 3)
+        stats = batch.metrics["loss_ratio"]
+        assert stats["stdev"] > 0
+        half = 4.303 * stats["stdev"] / math.sqrt(3)
+        assert stats["ci_high"] - stats["mean"] == pytest.approx(half, rel=1e-3)
+        assert stats["mean"] - stats["ci_low"] == pytest.approx(half, rel=1e-3)
 
 
 class TestCalibrationCheck:
