@@ -143,7 +143,7 @@ class VersionIndex:
     def __init__(self) -> None:
         self._items: dict[VersionKey, DataItem] = {}
         self._rdeps: dict[VersionKey, set[VersionKey]] = {}
-        self._latest: dict[str, int] = {}
+        self._versions: dict[str, list[int]] = {}  # ascending, per item id
         self._on_server: set[VersionKey] = set()
         self._holdings: dict[VersionKey, dict[str, set[int]]] = {}
 
@@ -153,16 +153,16 @@ class VersionIndex:
         key = item.key
         if key in self._items:
             raise UsageError(f"version {key} already registered")
-        prev = self._latest.get(item.id)
-        if prev is not None and item.version <= prev:
+        versions = self._versions.get(item.id)
+        if versions and item.version <= versions[-1]:
             raise UsageError(
-                f"version {item.version} of {item.id!r} does not increase on {prev}"
+                f"version {item.version} of {item.id!r} does not increase on {versions[-1]}"
             )
         for dep in item.temporal_deps:
             if dep not in self._items:
                 raise IntegrityError(f"dependency {dep} of {key} is not registered")
         self._items[key] = item
-        self._latest[item.id] = item.version
+        self._versions.setdefault(item.id, []).append(item.version)
         for dep in item.temporal_deps:
             self._rdeps.setdefault(dep, set()).add(key)
 
@@ -181,16 +181,22 @@ class VersionIndex:
     def keys(self) -> Iterable[VersionKey]:
         return self._items.keys()
 
-    def latest_version(self, item_id: str) -> int:
+    def _versions_of(self, item_id: str) -> list[int]:
         try:
-            return self._latest[item_id]
+            return self._versions[item_id]
         except KeyError:
             raise UnknownItemError(f"unknown item id {item_id!r}") from None
 
+    def latest_version(self, item_id: str) -> int:
+        return self._versions_of(item_id)[-1]
+
     def versions_of(self, item_id: str) -> list[int]:
-        if item_id not in self._latest:
-            raise UnknownItemError(f"unknown item id {item_id!r}")
-        return sorted(v for (i, v) in self._items if i == item_id)
+        return list(self._versions_of(item_id))
+
+    def latest_on_server(self, item_id: str) -> Optional[int]:
+        """Newest version of an item that has reached the server; None if none has."""
+        versions = reversed(self._versions.get(item_id, ()))
+        return next((v for v in versions if (item_id, v) in self._on_server), None)
 
     def set_priority(self, key: VersionKey, priority: float) -> None:
         self._items[key] = replace(self.get(key), priority=priority)

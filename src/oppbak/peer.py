@@ -1,8 +1,8 @@
 """Backup-peer replica store: admission, usefulness notices, eviction, merging.
 
 A peer grants the backup service a fixed byte quota. Incoming fragments
-are admitted only into space that is actually free after purging
-replicas that expired or were flagged useless. Under pressure, live
+are admitted only into space left free by the last purge of replicas
+that expired or were flagged useless. Under pressure, live
 replicas are scored and deleted oldest/over-provisioned/bulkiest first,
 but never while a replica is pinned (an old version still protecting a
 newer one that has not reached the server). Union-mergeable append logs
@@ -232,8 +232,10 @@ class ReplicaStore:
     def accept(self, fragment: Fragment, meta: ReplicaMetadata, now: float) -> bool:
         """Admit a fragment if free space allows; never displaces live data.
 
-        Duplicates of an already-held (owner, item, version, index) are
-        rejected, as are fragments that would push the owner past its
+        Admission uses the space left by the last purge: it does not purge
+        itself, so callers read `free_bytes(now)` first, as the save loop
+        does. Duplicates of an already-held (owner, item, version, index)
+        are rejected, as are fragments that would push the owner past its
         fairness cap or the store past its quota.
         """
         replica = Replica(
@@ -242,7 +244,6 @@ class ReplicaStore:
             received_at=now,
             sources=frozenset({(meta.owner, fragment.item_id, fragment.version)}),
         )
-        self.purge(now)
         if replica.key in self._replicas:
             return False
         size = replica.size_bytes
@@ -281,19 +282,23 @@ class ReplicaStore:
 
     # -- eviction ---------------------------------------------------------
 
-    def _dependency_bulk(self, target: Replica) -> int:
-        """Bytes of co-held same-owner replicas transitively depending on target."""
-        edges: dict[VersionKey, set[VersionKey]] = {}
-        sizes: dict[VersionKey, int] = {}
+    def _dependency_bulk(self, targets: list[Replica]) -> list[int]:
+        """Bytes of co-held same-owner replicas transitively depending on each target.
+
+        Edges and sizes per (owner, version) are built once for all targets.
+        """
+        edges: dict[tuple[str, VersionKey], set[tuple[str, VersionKey]]] = {}
+        sizes: dict[tuple[str, VersionKey], int] = {}
         for replica in self._replicas.values():
-            if replica.meta.owner != target.meta.owner:
-                continue
-            vk = replica.version_key
-            sizes[vk] = sizes.get(vk, 0) + replica.size_bytes
+            node = (replica.meta.owner, replica.version_key)
+            sizes[node] = sizes.get(node, 0) + replica.size_bytes
             for dep in replica.meta.temporal_deps:
-                edges.setdefault(dep, set()).add(vk)
-        dependents = reachable(edges.get(target.version_key, ()), lambda vk: edges.get(vk, ()))
-        return sum(sizes.get(vk, 0) for vk in dependents)
+                edges.setdefault((node[0], dep), set()).add(node)
+        bulk: dict[tuple[str, VersionKey], int] = {}
+        for node in {(r.meta.owner, r.version_key) for r in targets}:
+            dependents = reachable(edges.get(node, ()), lambda n: edges.get(n, ()))
+            bulk[node] = sum(sizes[d] for d in dependents)
+        return [bulk[(r.meta.owner, r.version_key)] for r in targets]
 
     def evict(self, needed_bytes: int, now: float) -> list[ReplicaKey]:
         """Free at least `needed_bytes`, cheapest casualties first.
@@ -316,7 +321,7 @@ class ReplicaStore:
             if r.state is ReplicaState.LIVE and not self._pinned(r)
         ]
         ages = [now - r.received_at for r in candidates]
-        bulks = [r.size_bytes + self._dependency_bulk(r) for r in candidates]
+        bulks = [r.size_bytes + b for r, b in zip(candidates, self._dependency_bulk(candidates))]
         scored = []
         for replica, age, bulk in zip(candidates, ages, bulks):
             score = (

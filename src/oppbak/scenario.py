@@ -41,7 +41,6 @@ class WorkloadSpec:
     update_fraction: float = 0.0   # chance a production updates an earlier item
     chain_fraction: float = 0.0    # chance a new item depends on an earlier one
     lifetime_s: Optional[float] = None
-    mergeable: bool = False
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ class InfrastructureSpec:
 @dataclass(frozen=True)
 class FailureSpec:
     rate_per_hour: float = 0.0              # per targeted terminal
-    targets: str = "producers"              # "producers" | "all" | "none"
+    targets: str = "producers"              # "producers" | "all"
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,6 @@ class ScenarioConfig:
     horizon_s: float = 7200.0
     payload_mode: bool = True
     peer_backup: bool = True
-    server_reach_factor: float = 1.0   # scales channel estimates handed out
     restore_delay_s: float = 0.0       # failure-to-restore-attempt gap
     terminals: TerminalsSpec = field(default_factory=TerminalsSpec)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
@@ -99,7 +97,6 @@ class ScenarioConfig:
             (t.backup_peers in ("all", "nonproducers"),
              "terminals.backup_peers must be all|nonproducers"),
             (self.horizon_s > 0, "horizon_s must be > 0"),
-            (0.0 <= self.server_reach_factor <= 1.0, "server_reach_factor must be in [0, 1]"),
             (self.restore_delay_s >= 0, "restore_delay_s must be >= 0"),
             (w.items_per_hour >= 0, "workload.items_per_hour must be >= 0"),
             (1 <= w.size_min_bytes <= w.size_max_bytes, "workload sizes must satisfy 1 <= min <= max"),
@@ -116,7 +113,7 @@ class ScenarioConfig:
             (i.window_duration_mean_s > 0, "infrastructure.window_duration_mean_s must be > 0"),
             (i.bandwidth_bytes_per_s > 0, "infrastructure.bandwidth_bytes_per_s must be > 0"),
             (f.rate_per_hour >= 0, "failures.rate_per_hour must be >= 0"),
-            (f.targets in ("producers", "all", "none"), "failures.targets must be producers|all|none"),
+            (f.targets in ("producers", "all"), "failures.targets must be producers|all"),
             (self.eviction.w_age >= 0 and self.eviction.w_res >= 0 and self.eviction.w_size >= 0,
              "eviction weights must be >= 0"),
             (0.0 < self.eviction.per_owner_cap <= 1.0, "eviction.per_owner_cap must be in (0, 1]"),

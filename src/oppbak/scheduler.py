@@ -151,6 +151,10 @@ class Scheduler:
     _next_index: dict[VersionKey, int] = field(default_factory=dict)
 
     def enqueue(self, item: DataItem, current_success: float) -> bool:
+        """Queue an item while its success estimate falls short of its priority.
+
+        Every requeue, the save loop's and the simulator's, goes through here.
+        """
         if item.key not in self.index:
             raise UsageError(f"{item.key} is not registered")
         return self.queue.enqueue(item.key, item.priority - current_success)
@@ -218,12 +222,11 @@ class Scheduler:
             next_index = self._next_index.get(key, 0)
             if item.expired(now):
                 continue  # no longer worth sending; silently retired
-            prior_deficit = item.priority - self.success_of(key)
             fragment = self._fragment(key, next_index)
             size = fragment_wire_size(item.size_bytes, item.k)
             if not link.try_transfer(size):
                 # dropped mid-transfer: the fragment does not count
-                self.queue.enqueue(key, prior_deficit)
+                self.enqueue(item, self.success_of(key))
                 break
             base = session_base.setdefault(key, self.tables[key])
             m = session_count.get(key, 0) + 1
@@ -233,7 +236,7 @@ class Scheduler:
             if not terminal.save(fragment, item, proba):
                 self.tables[key] = old_table
                 skips.add(key)
-                self.queue.enqueue(key, prior_deficit)
+                self.enqueue(item, self.success_of(key))
                 outcomes.append(
                     SaveOutcome(item.id, item.version, next_index, size, channel, False)
                 )
@@ -244,6 +247,5 @@ class Scheduler:
             outcomes.append(
                 SaveOutcome(item.id, item.version, next_index, size, channel, True)
             )
-            if proba < item.priority:
-                self.queue.enqueue(key, item.priority - proba)
+            self.enqueue(item, proba)
         return outcomes

@@ -13,24 +13,25 @@ mobility, workload, infrastructure, failures, and channel fate draws, so
 the same config always yields byte-identical reports and traces.
 
 Channel honesty: the estimate handed to schedulers is
-``base_reliability * server_reach_factor``; whether a saved batch is
-actually retrievable later is an independent draw at
-``terminals.true_retrieval`` (defaulting to the estimate). Fragments of
-one item saved on one terminal within one session share a single draw,
-which is exactly the correlation the estimator's batch update assumes,
-so with honest config the predicted restore probabilities are calibrated
-against realized outcomes.
+``terminals.base_reliability``; whether a saved batch is actually
+retrievable later is an independent draw at ``terminals.true_retrieval``
+(defaulting to the estimate). Fragments of one item saved on one
+terminal within one session share a single draw, which is exactly the
+correlation the estimator's batch update assumes, so with honest config
+the predicted restore probabilities are calibrated against realized
+outcomes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import json
 import math
 import random
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 from .dispersal import FragmentSet, reconstruct, split
 from .model import (
@@ -129,8 +130,18 @@ def _payload_for(key: VersionKey, size: int) -> bytes:
 # -- reports -----------------------------------------------------------------
 
 
+class _Report:
+    """JSON form of a report dataclass; `json.dumps` writes its tuples as arrays."""
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return asdict(self)
+
+    def json_bytes(self) -> bytes:
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")).encode()
+
+
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(_Report):
     """Everything measured by one run; JSON-faithful by construction."""
 
     seed: int
@@ -149,43 +160,6 @@ class MetricsReport:
     calibration_episodes: tuple[tuple[float, int], ...]
     occupancy: dict[str, tuple[tuple[float, int], ...]]
 
-    def to_json_dict(self) -> dict[str, Any]:
-        data = asdict(self)
-        data["conflicts"] = [dict(c) for c in self.conflicts]
-        data["calibration_episodes"] = [list(e) for e in self.calibration_episodes]
-        data["occupancy"] = {
-            t: [list(p) for p in points] for t, points in self.occupancy.items()
-        }
-        return data
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "MetricsReport":
-        return cls(
-            seed=data["seed"],
-            horizon_s=data["horizon_s"],
-            items_produced=data["items_produced"],
-            items_measured=data["items_measured"],
-            outcomes=dict(data["outcomes"]),
-            loss_ratio=data["loss_ratio"],
-            loss_ratio_by_band=dict(data["loss_ratio_by_band"]),
-            fragments_saved=data["fragments_saved"],
-            mean_fragments_per_item=data["mean_fragments_per_item"],
-            bytes_to_peers=data["bytes_to_peers"],
-            bytes_to_server=data["bytes_to_server"],
-            conflict_count=data["conflict_count"],
-            conflicts=tuple(dict(c) for c in data["conflicts"]),
-            calibration_episodes=tuple(
-                (float(p), int(r)) for p, r in data["calibration_episodes"]
-            ),
-            occupancy={
-                t: tuple((float(a), int(b)) for a, b in points)
-                for t, points in data["occupancy"].items()
-            },
-        )
-
-    def json_bytes(self) -> bytes:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")).encode()
-
     scalar_metrics = (
         "items_produced",
         "items_measured",
@@ -199,35 +173,13 @@ class MetricsReport:
 
 
 @dataclass(frozen=True)
-class BatchReport:
+class BatchReport(_Report):
     """Replicated-run aggregate: per-metric mean and 95% Student-t interval."""
 
     seed: int
     replications: int
     metrics: dict[str, dict[str, float]]
     calibration_episodes: tuple[tuple[float, int], ...]
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "replications": self.replications,
-            "metrics": {k: dict(v) for k, v in self.metrics.items()},
-            "calibration_episodes": [list(e) for e in self.calibration_episodes],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "BatchReport":
-        return cls(
-            seed=data["seed"],
-            replications=data["replications"],
-            metrics={k: dict(v) for k, v in data["metrics"].items()},
-            calibration_episodes=tuple(
-                (float(p), int(r)) for p, r in data["calibration_episodes"]
-            ),
-        )
-
-    def json_bytes(self) -> bytes:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")).encode()
 
 
 @dataclass(frozen=True)
@@ -285,6 +237,20 @@ def _terminal_names(count: int) -> list[str]:
     return [f"t{i:0{width}d}" for i in range(count)]
 
 
+def _arrivals(rng: random.Random, rate_per_hour: float, horizon: float) -> Iterator[float]:
+    """Arrival times of a Poisson process before `horizon`, each gap drawn when needed.
+
+    Draws nothing at a rate of zero; otherwise the gap that passes the
+    horizon is the last draw.
+    """
+    if rate_per_hour <= 0:
+        return
+    t = rng.expovariate(rate_per_hour / 3600.0)
+    while t < horizon:
+        yield t
+        t += rng.expovariate(rate_per_hour / 3600.0)
+
+
 def generate_events(config: ScenarioConfig) -> list[Event]:
     """Pre-draw the full event timeline for a config. Deterministic."""
     names = _terminal_names(config.terminals.count)
@@ -295,15 +261,9 @@ def generate_events(config: ScenarioConfig) -> list[Event]:
     w = config.workload
     rng = _stream(config.seed, "workload")
     for owner in producers:
-        t = 0.0
         counter = 0
         history: list[tuple[str, int]] = []  # (id, latest version) in creation order
-        if w.items_per_hour <= 0:
-            continue
-        while True:
-            t += rng.expovariate(w.items_per_hour / 3600.0)
-            if t >= horizon:
-                break
+        for t in _arrivals(rng, w.items_per_hour, horizon):
             size = int(round(math.exp(rng.uniform(math.log(w.size_min_bytes),
                                                   math.log(w.size_max_bytes)))))
             size = min(max(size, w.size_min_bytes), w.size_max_bytes)
@@ -342,59 +302,30 @@ def generate_events(config: ScenarioConfig) -> list[Event]:
                         production=production,
                         lifetime=(t + w.lifetime_s) if w.lifetime_s else None,
                         temporal_deps=deps,
-                        mergeable=w.mergeable,
-                        stream=None,
                     ),
                 )
             )
 
     m = config.mobility
     rng = _stream(config.seed, "mobility")
-    if m.encounter_rate_per_hour > 0:
-        t = 0.0
-        while True:
-            t += rng.expovariate(m.encounter_rate_per_hour / 3600.0)
-            if t >= horizon:
-                break
-            a, b = rng.sample(names, 2)
-            if a > b:
-                a, b = b, a
-            events.append(
-                EncounterEvent(
-                    time=t,
-                    a=a,
-                    b=b,
-                    duration=rng.expovariate(1.0 / m.contact_duration_mean_s),
-                    bandwidth=m.bandwidth_bytes_per_s,
-                )
-            )
+    for t in _arrivals(rng, m.encounter_rate_per_hour, horizon):
+        a, b = sorted(rng.sample(names, 2))
+        duration = rng.expovariate(1.0 / m.contact_duration_mean_s)
+        events.append(EncounterEvent(t, a, b, duration, m.bandwidth_bytes_per_s))
 
     i = config.infrastructure
     rng = _stream(config.seed, "infrastructure")
-    if i.window_rate_per_hour > 0:
-        for terminal in names:
-            t = 0.0
-            while True:
-                t += rng.expovariate(i.window_rate_per_hour / 3600.0)
-                if t >= horizon:
-                    break
-                events.append(
-                    InternetWindowEvent(
-                        time=t,
-                        terminal=terminal,
-                        duration=rng.expovariate(1.0 / i.window_duration_mean_s),
-                        bandwidth=i.bandwidth_bytes_per_s,
-                    )
-                )
+    for terminal in names:
+        for t in _arrivals(rng, i.window_rate_per_hour, horizon):
+            duration = rng.expovariate(1.0 / i.window_duration_mean_s)
+            events.append(InternetWindowEvent(t, terminal, duration, i.bandwidth_bytes_per_s))
 
     f = config.failures
     rng = _stream(config.seed, "failures")
-    if f.rate_per_hour > 0 and f.targets != "none":
-        targets = producers if f.targets == "producers" else names
-        for terminal in targets:
-            t = rng.expovariate(f.rate_per_hour / 3600.0)
-            if t < horizon:
-                events.append(TerminalFailureEvent(time=t, terminal=terminal))
+    for terminal in producers if f.targets == "producers" else names:
+        # a terminal fails at most once: at its process's first arrival
+        for t in itertools.islice(_arrivals(rng, f.rate_per_hour, horizon), 1):
+            events.append(TerminalFailureEvent(time=t, terminal=terminal))
 
     events.sort(key=lambda e: (e.time, _KIND_RANK[type(e)]))
     return events
@@ -448,7 +379,6 @@ class Simulation:
         self.fragment_sets: dict[VersionKey, FragmentSet] = {}
         self.owned_ids: dict[str, list[str]] = {t: [] for t in self.producers}
         self.server_fragments: dict[VersionKey, dict[int, Fragment]] = {}
-        self.served_max: dict[str, int] = {}
         self.fates: dict[tuple[str, str, int, int], bool] = {}
         self.bytes_to_peers = 0
         self.bytes_to_server = 0
@@ -460,7 +390,7 @@ class Simulation:
         self.now = 0.0
         self._channels = _stream(config.seed, "channels")
 
-        estimate = config.terminals.base_reliability * config.server_reach_factor
+        estimate = config.terminals.base_reliability
         self.channel_estimate = ChannelEstimate(estimate)
         true_p = config.terminals.true_retrieval
         self.true_retrieval = estimate if true_p is None else true_p
@@ -551,11 +481,9 @@ class Simulation:
         # a raised dependency may fall short of its new target again
         for dep_key in sorted(raised):
             dep = self.index.get(dep_key)
-            if dep.owner != owner or dep_key in scheduler.queue:
-                continue
-            if self.index.is_on_server(dep_key):
-                continue
-            scheduler.queue.enqueue(dep_key, dep.priority - self.success_of(dep_key))
+            if dep.owner == owner and dep_key not in scheduler.queue:
+                if not self.index.is_on_server(dep_key):
+                    scheduler.enqueue(dep, self.success_of(dep_key))
         self._trace(
             f"{self.now:.6f} PRODUCE owner={owner} item={item.id}@{item.version} "
             f"bytes={item.size_bytes}"
@@ -625,9 +553,6 @@ class Simulation:
     def _mark_served(self, key: VersionKey) -> None:
         self.index.mark_on_server(key)
         self.tables.forget(key)
-        item_id, version = key
-        if self.served_max.get(item_id, 0) < version:
-            self.served_max[item_id] = version
 
     def _on_window(self, event: InternetWindowEvent) -> None:
         terminal = event.terminal
@@ -644,17 +569,14 @@ class Simulation:
         self._confirm_served(terminal, uploaded_ids)
 
     def _flush_owner_queue(self, owner: str, scheduler: Scheduler, budget: int) -> int:
-        skipped: list[tuple[VersionKey, float]] = []
-        while True:
-            key = scheduler.queue.pull(scheduler.deficit_of)
-            if key is None:
-                break
+        def eligible(key: VersionKey) -> bool:
+            # expired entries are pulled to retire them; what does not fit stays queued
+            item = self.index.get(key)
+            return item.expired(self.now) or item.size_bytes <= budget
+
+        while (key := scheduler.queue.pull(scheduler.deficit_of, eligible)) is not None:
             item = self.index.get(key)
             if item.expired(self.now):
-                continue
-            if item.size_bytes > budget:
-                # does not fit what is left; keep going with smaller items
-                skipped.append((key, item.priority - self.success_of(key)))
                 continue
             budget -= item.size_bytes
             self.bytes_to_server += item.size_bytes
@@ -663,8 +585,6 @@ class Simulation:
                 f"{self.now:.6f} UPLOAD_ITEM from={owner} item={key[0]}@{key[1]} "
                 f"bytes={item.size_bytes}"
             )
-        for key, deficit in skipped:
-            scheduler.queue.enqueue(key, deficit)
         return budget
 
     def _flush_held_replicas(self, terminal: str, budget: int) -> set[str]:
@@ -700,7 +620,7 @@ class Simulation:
         store = self.stores[terminal]
         held_ids = sorted({r.fragment.item_id for r in store.replicas()})
         for item_id in held_ids:
-            vmax = self.served_max.get(item_id)
+            vmax = self.index.latest_on_server(item_id)
             if vmax is None:
                 continue
             source = (
@@ -746,19 +666,14 @@ class Simulation:
         on_server = self.server_fragments.get(key, {})
         found = {idx: on_server[idx] for idx in sorted(on_server)}
         item_id, version = key
+        owner = self.index.get(key).owner
         for terminal, indices in sorted(self.index.peer_holdings(key).items()):
             if not self.alive[terminal]:
                 continue
             store = self.stores[terminal]
             for idx in sorted(indices):
-                if idx in found:
-                    continue
-                if not self.fates.get((terminal, item_id, version, idx), False):
-                    continue
-                owner = self.index.get(key).owner
-                replica_key = (owner, item_id, version, idx)
-                if replica_key in store:
-                    found[idx] = store.get(replica_key).fragment
+                if idx not in found and self.fates.get((terminal, item_id, version, idx), False):
+                    found[idx] = store.get((owner, item_id, version, idx)).fragment
         return found
 
     def _restorable(self, key: VersionKey, memo: dict[VersionKey, bool]) -> bool:
@@ -859,11 +774,9 @@ class Simulation:
         reference counting alone, payloads included, without waiting for
         the cycle collector.
         """
-        heap: list[tuple[float, int, Event]] = []
-        seq = 0
-        for event in generate_events(self.config):
-            heapq.heappush(heap, (event.time, seq, event))
-            seq += 1
+        # the timeline is sorted, so in (time, seq) order it is a heap already
+        heap = [(event.time, seq, event) for seq, event in enumerate(generate_events(self.config))]
+        seq = len(heap)
         while heap:
             _, _, event = heapq.heappop(heap)
             for follow_up in self.process(event):

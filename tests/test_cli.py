@@ -5,7 +5,6 @@ import jsonschema
 import pytest
 
 from oppbak.cli import main
-from oppbak.sim import BatchReport, MetricsReport
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src/oppbak/report.schema.json").read_text()
@@ -35,7 +34,6 @@ class TestRunCommand:
         document = json.loads(capsys.readouterr().out)
         jsonschema.validate(document, SCHEMA)
         assert "loss_ratio" in document
-        assert MetricsReport.from_json_dict(document) is not None
 
     def test_missing_file_exits_2_and_names_path(self, capsys):
         assert main(["run", "--scenario", "/no/such/file.json"]) == 2
@@ -110,7 +108,6 @@ class TestBatchCommand:
         document = json.loads(capsys.readouterr().out)
         jsonschema.validate(document, SCHEMA)
         assert document["replications"] == 3
-        assert BatchReport.from_json_dict(document) is not None
 
     def test_single_replication_matches_run_scalars(self, scenario_path, capsys):
         assert main(["run", "--scenario", scenario_path, "--format", "json"]) == 0

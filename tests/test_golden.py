@@ -121,3 +121,54 @@ def digests(name: str) -> tuple[str, str]:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_report_and_trace_match_golden_digests(name):
     assert digests(name) == GOLDEN[name]
+
+
+# Run sets over many seeds. Updates and chains make `propagate_priority`
+# raise several versions to one priority, so queued entries often tie on
+# deficit and only their FIFO order decides which goes first; one digest
+# per set pins that order across every seed.
+SEED_SETS: dict[str, tuple[dict[str, Any], range]] = {
+    "chain-batch": (
+        _scenario(
+            {
+                "workload.update_fraction": 0.5,
+                "workload.chain_fraction": 0.4,
+                "workload.lifetime_s": 3_600.0,
+                "failures.rate_per_hour": 1.0,
+                "failures.targets": "all",
+                "restore_delay_s": 60.0,
+            },
+            7_200.0,
+        ),
+        range(100, 160),
+    ),
+    "payload-16of10": (SCENARIOS["payload-16of10"], range(100, 108)),
+}
+
+# name -> (sha256 over every seed's report bytes, sha256 over every seed's trace)
+SEED_SET_GOLDEN: dict[str, tuple[str, str]] = {
+    "chain-batch": (
+        "6be4dce84e71f781dfe6cbf64bd2cf346a6245a1a648bf0fbf3da7c19752b311",
+        "4d2d920824a2093a3df614b579ce062731e2debbbb23088de81e4ea3888dc332",
+    ),
+    "payload-16of10": (
+        "1fee6d5404a7f8e292e9a5d5b4dc7dc17eb6e38bfd00e742dc9d568146e52a9e",
+        "89f70a8ff5e813015159757bdab9ae736cf747f9242d4a2a27c7637c23495769",
+    ),
+}
+
+
+def seed_set_digests(name: str) -> tuple[str, str]:
+    doc, seeds = SEED_SETS[name]
+    reports, traces = hashlib.sha256(), hashlib.sha256()
+    for seed in seeds:
+        trace: list[str] = []
+        report = run(config_from_dict({**doc, "seed": seed}), trace=trace.append)
+        reports.update(report.json_bytes() + b"\n")
+        traces.update("\n".join(trace).encode() + b"\n\n")
+    return reports.hexdigest(), traces.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SEED_SETS))
+def test_seed_sets_match_golden_digests(name):
+    assert seed_set_digests(name) == SEED_SET_GOLDEN[name]

@@ -105,6 +105,22 @@ class TestVersionIndex:
         with pytest.raises(UnknownItemError):
             index.latest_version("nope")
 
+    def test_versions_and_newest_on_server(self, index: VersionIndex):
+        index.register(make_item("b"))
+        index.register(make_item(version=1))
+        index.register(make_item(version=3, deps=(("a", 1),)))
+        index.register(make_item(version=7, deps=(("a", 3),)))
+        assert index.versions_of("a") == [1, 3, 7]
+        assert index.latest_version("a") == 7
+        assert index.latest_on_server("a") is None
+        index.mark_on_server(("a", 3))
+        index.mark_on_server(("a", 1))
+        assert index.latest_on_server("a") == 3
+        assert index.latest_on_server("b") is None
+        assert index.latest_on_server("never-registered") is None
+        index.versions_of("a").clear()  # a copy: the index keeps its list
+        assert index.versions_of("a") == [1, 3, 7]
+
     def test_version_must_increase(self, index: VersionIndex):
         index.register(make_item(version=1))
         index.register(make_item(version=2, deps=(("a", 1),)))

@@ -53,6 +53,15 @@ class TestAccept:
         assert store.accept(frag("new", wire_size=250), meta(), now=60.0)
         assert store.used_bytes == store.recomputed_used_bytes() == 400
 
+    def test_accept_uses_space_left_by_last_purge(self):
+        store = ReplicaStore("p", 400)
+        assert store.accept(frag("old", wire_size=250), meta(lifetime=50.0), now=0.0)
+        # expired at t=60 but not yet purged: admission does not purge itself
+        assert not store.accept(frag("new", wire_size=250), meta(), now=60.0)
+        assert ("t00", "old", 1, 0) in store
+        assert store.free_bytes(now=60.0) == 400
+        assert store.accept(frag("new", wire_size=250), meta(), now=60.0)
+
     def test_duplicate_rejected(self):
         store = ReplicaStore("p", 1000)
         assert store.accept(frag(), meta(), now=0.0)
@@ -196,7 +205,7 @@ class TestEvict:
             meta(temporal_deps=(("left", 1), ("right", 1))),
             now=0.0,
         )
-        assert diamond._dependency_bulk(diamond.get(("t00", "base", 1, 0))) == 900
+        assert diamond._dependency_bulk([diamond.get(("t00", "base", 1, 0))]) == [900]
 
     def test_rank_matches_formula_oracle(self, rng: random.Random):
         now = 1000.0

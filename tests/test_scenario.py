@@ -38,6 +38,18 @@ class TestStrictParsing:
             config_from_dict({"failures": {"targets": "everyone"}})
 
     @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"server_reach_factor": 1.0}, "unknown key.*server_reach_factor"),
+            ({"workload": {"mergeable": False}}, "workload.*unknown key.*mergeable"),
+            ({"failures": {"targets": "none"}}, "failures.targets must be producers|all"),
+        ],
+    )
+    def test_removed_settings_are_rejected(self, document, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(document)
+
+    @pytest.mark.parametrize(
         "document, field",
         [
             ({"terminals": {"count": "10"}}, "terminals.count"),
