@@ -3,9 +3,11 @@
 Systematic maximum-distance-separable coding over GF(256): the first k
 fragments are the payload chunks themselves, the remaining n - k are
 parity rows of a Vandermonde-derived matrix whose every k-row submatrix
-is invertible. k = 1 degenerates to plain n-way replication. Byte-level
-math runs through a 256x256 product table with numpy, so splitting and
-rebuilding large payloads stays cheap.
+is invertible. k = 1 degenerates to plain n-way replication. A matrix
+times the k data shards costs one numpy gather per shard: that shard's
+bytes index the product-table rows of its column's coefficients, and the
+gathered rows are XORed into the output, so splitting and rebuilding large
+payloads stays cheap.
 
 Wire format (big-endian, fixed 51-byte header, then the chunk bytes):
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -87,7 +89,7 @@ def gf_pow(a: int, e: int) -> int:
     return int(_EXP[(_LOG[a] * e) % 255])
 
 
-def _invert(matrix: list[list[int]]) -> list[list[int]]:
+def _invert(matrix: list[list[int]]) -> np.ndarray:
     """Gauss-Jordan inverse of a square matrix over GF(256)."""
     size = len(matrix)
     aug = [row[:] + [1 if i == j else 0 for j in range(size)]
@@ -103,25 +105,27 @@ def _invert(matrix: list[list[int]]) -> list[list[int]]:
             if r != col and aug[r][col]:
                 factor = aug[r][col]
                 aug[r] = [v ^ gf_mul(factor, p) for v, p in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
+    return np.array([row[size:] for row in aug], dtype=np.uint8)
+
+
+def _frozen(matrix: np.ndarray) -> np.ndarray:
+    """Mark a cached matrix read-only, since every caller shares it."""
+    matrix.flags.writeable = False
+    return matrix
 
 
 @lru_cache(maxsize=None)
-def _encode_matrix(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+def _encode_matrix(n: int, k: int) -> np.ndarray:
     """n x k matrix whose top k rows are the identity and whose every
     k-row submatrix is invertible."""
-    vander = [[gf_pow(i, j) for j in range(k)] for i in range(n)]
-    top_inv = _invert([row[:] for row in vander[:k]])
-    rows = []
-    for i in range(n):
-        row = [0] * k
-        for j in range(k):
-            acc = 0
-            for t in range(k):
-                acc ^= gf_mul(vander[i][t], top_inv[t][j])
-            row[j] = acc
-        rows.append(tuple(row))
-    return tuple(rows)
+    vander = np.array([[gf_pow(i, j) for j in range(k)] for i in range(n)], dtype=np.uint8)
+    return _frozen(_combine(vander, _invert(vander[:k].tolist())))
+
+
+@lru_cache(maxsize=1024)
+def _decode_matrix(n: int, k: int, chosen: tuple[int, ...]) -> np.ndarray:
+    """k x k matrix that maps the fragments `chosen` back to the data chunks."""
+    return _frozen(_invert(_encode_matrix(n, k)[list(chosen)].tolist()))
 
 
 def chunk_size(original_size: int, k: int) -> int:
@@ -151,18 +155,11 @@ class FragmentSet:
         return self.n * (HEADER_SIZE + self.chunk)
 
 
-def _combine(rows: Sequence[Sequence[int]], shards: np.ndarray) -> np.ndarray:
-    """Matrix-times-shards over GF(256): rows (r x k) applied to shards (k x c)."""
-    out = np.zeros((len(rows), shards.shape[1]), dtype=np.uint8)
-    for i, row in enumerate(rows):
-        acc = out[i]
-        for coeff, shard in zip(row, shards):
-            if coeff == 0:
-                continue
-            if coeff == 1:
-                acc ^= shard
-            else:
-                acc ^= _MUL[coeff][shard]
+def _combine(matrix: np.ndarray, shards: np.ndarray) -> np.ndarray:
+    """Matrix-times-shards over GF(256): matrix (r x k) applied to shards (k x c)."""
+    out = np.zeros((matrix.shape[0], shards.shape[1]), dtype=np.uint8)
+    for j, shard in enumerate(shards):
+        out ^= np.take(_MUL[matrix[:, j]], shard, axis=1)
     return out
 
 
@@ -243,10 +240,8 @@ def reconstruct(fragments: Iterable[Fragment]) -> bytes:
     if chosen == list(range(k)):
         data = shards  # systematic fast path: the chunks are the payload
     else:
-        matrix = _encode_matrix(ref.n, k)
-        sub = [list(matrix[i]) for i in chosen]
-        data = _combine(_invert(sub), shards)
-    return data.reshape(-1).tobytes()[: ref.original_size]
+        data = _combine(_decode_matrix(ref.n, k, tuple(chosen)), shards)
+    return data.reshape(-1)[: ref.original_size].tobytes()
 
 
 def pack_fragment(fragment: Fragment) -> bytes:

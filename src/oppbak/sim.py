@@ -31,7 +31,10 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterator, Optional, Union
+
+import numpy as np
 
 from .dispersal import FragmentSet, reconstruct, split
 from .model import (
@@ -120,11 +123,25 @@ def _stream(seed: int, name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _payload_for(key: VersionKey, size: int) -> bytes:
-    rng = random.Random(
-        int.from_bytes(hashlib.sha256(f"payload:{key[0]}@{key[1]}".encode()).digest()[:8], "big")
-    )
-    return rng.randbytes(size)
+def _payload_for(key: VersionKey, size: int, twister: np.random.MT19937) -> bytes:
+    seed = int.from_bytes(hashlib.sha256(f"payload:{key[0]}@{key[1]}".encode()).digest()[:8], "big")
+    return _randbytes(seed, size, twister)
+
+
+def _randbytes(seed: int, size: int, twister: np.random.MT19937) -> bytes:
+    """`random.Random(seed).randbytes(size)` (size >= 1), drawn by `twister`.
+
+    Both are the same Mersenne Twister, so `twister` takes the seeded state
+    (all of it: earlier draws leave no trace) and emits the same 32-bit
+    words, written little-endian with the last partial word shifted right to
+    keep its high bits, as CPython's `getrandbits` does.
+    """
+    state = random.Random(seed).getstate()[1]
+    # a tuple key: numpy copies it word by word, far faster than from an array
+    twister.state = {"bit_generator": "MT19937", "state": {"key": state[:624], "pos": state[624]}}
+    words = twister.random_raw(-(-size // 4)).astype("<u4")
+    words[-1] >>= 32 * len(words) - 8 * size
+    return words.view(np.uint8)[:size].tobytes()
 
 
 # -- reports -----------------------------------------------------------------
@@ -418,6 +435,12 @@ class Simulation:
             for owner in self.producers
         }
 
+    @cached_property
+    def _twister(self) -> np.random.MT19937:
+        """Payload generator, built once per run (numpy's seeding is slow) and
+        given a fresh state for each payload by `_randbytes`."""
+        return np.random.MT19937(0)
+
     # -- shared helpers ------------------------------------------------
 
     def _trace(self, line: str) -> None:
@@ -471,7 +494,7 @@ class Simulation:
         raised = propagate_priority(self.index, item)
         self.tables[item.key] = ReliabilityTable.fresh(item.k)
         if self.config.payload_mode:
-            payload = _payload_for(item.key, item.size_bytes)
+            payload = _payload_for(item.key, item.size_bytes, self._twister)
             self.payloads[item.key] = payload
             self.fragment_sets[item.key] = split(
                 payload, item.n, item.k, item_id=item.id, version=item.version

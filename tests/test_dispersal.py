@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oppbak import dispersal
 from oppbak.dispersal import (
     HEADER_SIZE,
     FragmentMismatch,
@@ -123,6 +126,73 @@ class TestReconstruct:
         fs = split(data, n, k)
         subset = pick.sample(fs.fragments, k)
         assert reconstruct(subset) == data
+
+
+# sha256 over all n fragment payloads of split(random.Random(size).randbytes(size), n, k),
+# recorded with the original per-coefficient kernel; any kernel must give the same bytes
+SPLIT_DIGESTS = [
+    (16, 10, 1_000_000, "799cd6d9e1f772322031a5bc3e75c523965fcf105f8b27dbf23c882dd6d80b3d"),
+    (16, 10, 4_000, "898f64c5a7fe1a81b7536f2b98c242be68000d7f5f6856c88cc96331bb6d516d"),
+    (4, 2, 4_096, "4f60aa6ff8221b756ed947b113255eed9bc4a95af669ab40f6b8271d0dac5bc4"),
+    (255, 128, 10_000, "2c7126af09d4982ee6e8e6b4cdfa9353c248e97a6d2020da2ad88409fc595838"),
+    (6, 6, 5_000, "06951e04c1ee4ab4d57aca32123126d7ed09d98bb9ba7ac8af40c768800c2767"),  # no parity
+    (5, 1, 3_000, "d944ccdd643269515674036fe30d8f2df0308e2ee24f1232debfb8972c8f607d"),  # replication
+]
+
+
+def _combine_reference(rows, shards):
+    """Scalar matrix-times-shards over GF(256), one gf_mul per byte."""
+    out = [[0] * len(shards[0]) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, coeff in enumerate(row):
+            for c, byte in enumerate(shards[j]):
+                out[i][c] ^= gf_mul(coeff, byte)
+    return out
+
+
+class TestCodecBytes:
+    @pytest.mark.parametrize("n, k, size, digest", SPLIT_DIGESTS)
+    def test_split_bytes_pinned(self, n, k, size, digest):
+        payload = random.Random(size).randbytes(size)
+        h = hashlib.sha256()
+        for fragment in split(payload, n, k).fragments:
+            h.update(fragment.payload)
+        assert h.hexdigest() == digest
+
+    def test_parity_reconstruct_pinned(self):
+        payload = random.Random(7).randbytes(100_003)
+        rebuilt = reconstruct(split(payload, 16, 10).fragments[3:])  # data 0..2 missing
+        assert hashlib.sha256(rebuilt).hexdigest() == (
+            "22bada7940f4fc47256300faa1da482f7b902b65fedb8eaadf27aa574395461a"
+        )
+        assert rebuilt == payload
+
+    def test_decode_matrix_inverted_once_per_subset(self, monkeypatch):
+        payload = random.Random(3).randbytes(5_000)
+        fragments = split(payload, 16, 10).fragments
+        real = dispersal._invert
+        inverted = []
+        monkeypatch.setattr(dispersal, "_invert", lambda m: inverted.append(m) or real(m))
+        dispersal._decode_matrix.cache_clear()
+        assert reconstruct(fragments[3:13]) == payload
+        assert reconstruct(fragments[12:2:-1]) == payload
+        assert len(inverted) == 1
+        chosen = tuple(range(3, 13))
+        cached = dispersal._decode_matrix(16, 10, chosen)
+        assert not cached.flags.writeable
+        assert (cached == dispersal._decode_matrix.__wrapped__(16, 10, chosen)).all()
+        assert len(inverted) == 2  # the uncached call only
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 4096])
+    def test_combine_matches_scalar_reference(self, rng: random.Random, width):
+        for r, k in [(1, 1), (3, 5), (6, 10)]:
+            rows = [[rng.randrange(256) for _ in range(k)] for _ in range(r)]
+            rows[0][0], rows[-1][-1] = 0, 1
+            shards = [[rng.randrange(256) for _ in range(width)] for _ in range(k)]
+            got = dispersal._combine(
+                np.array(rows, dtype=np.uint8), np.array(shards, dtype=np.uint8)
+            )
+            assert got.tolist() == _combine_reference(rows, shards)
 
 
 class TestWireFormat:

@@ -1,7 +1,9 @@
 import gc
 import math
+import random
 import weakref
 
+import numpy as np
 import pytest
 
 from oppbak.dispersal import fragment_wire_size
@@ -15,6 +17,7 @@ from oppbak.sim import (
     MetricsReport,
     Simulation,
     TerminalFailureEvent,
+    _randbytes,
     _t_critical,
     calibration_check,
     generate_events,
@@ -283,6 +286,13 @@ def busy_config(seed=7, **overrides):
         else:
             base[section] = value
     return config_from_dict(base)
+
+
+def test_randbytes_matches_cpython():
+    twister = np.random.MT19937(0)  # shared: each call must start from its own seed alone
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1):
+        for size in (1, 3, 4, 5, 4_000, 4_001, 999_999, 1_000_003):
+            assert _randbytes(seed, size, twister) == random.Random(seed).randbytes(size)
 
 
 class TestGeneratedRuns:
