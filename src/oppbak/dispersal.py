@@ -89,23 +89,20 @@ def gf_pow(a: int, e: int) -> int:
     return int(_EXP[(_LOG[a] * e) % 255])
 
 
-def _invert(matrix: list[list[int]]) -> np.ndarray:
-    """Gauss-Jordan inverse of a square matrix over GF(256)."""
+def _invert(matrix: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan inverse over GF(256), one region operation per pivot."""
     size = len(matrix)
-    aug = [row[:] + [1 if i == j else 0 for j in range(size)]
-           for i, row in enumerate(matrix)]
+    aug = np.concatenate([matrix, np.eye(size, dtype=np.uint8)], axis=1)
     for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col]), None)
-        if pivot is None:
+        pivot = col + int(np.argmax(aug[col:, col] != 0))  # first nonzero at or below
+        if not aug[pivot, col]:
             raise IntegrityError("singular matrix: fragments are not independent")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = gf_inv(aug[col][col])
-        aug[col] = [gf_mul(v, inv) for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v ^ gf_mul(factor, p) for v, p in zip(aug[r], aug[col])]
-    return np.array([row[size:] for row in aug], dtype=np.uint8)
+        aug[[col, pivot]] = aug[[pivot, col]]
+        aug[col] = _MUL[gf_inv(aug[col, col]), aug[col]]
+        factors = aug[:, col].copy()
+        factors[col] = 0  # a zero factor leaves its row, here the pivot's, as it is
+        aug ^= _MUL[factors[:, None], aug[col]]
+    return aug[:, size:].copy()
 
 
 def _frozen(matrix: np.ndarray) -> np.ndarray:
@@ -119,13 +116,13 @@ def _encode_matrix(n: int, k: int) -> np.ndarray:
     """n x k matrix whose top k rows are the identity and whose every
     k-row submatrix is invertible."""
     vander = np.array([[gf_pow(i, j) for j in range(k)] for i in range(n)], dtype=np.uint8)
-    return _frozen(_combine(vander, _invert(vander[:k].tolist())))
+    return _frozen(_combine(vander, _invert(vander[:k])))
 
 
 @lru_cache(maxsize=1024)
 def _decode_matrix(n: int, k: int, chosen: tuple[int, ...]) -> np.ndarray:
     """k x k matrix that maps the fragments `chosen` back to the data chunks."""
-    return _frozen(_invert(_encode_matrix(n, k)[list(chosen)].tolist()))
+    return _frozen(_invert(_encode_matrix(n, k)[list(chosen)]))
 
 
 def chunk_size(original_size: int, k: int) -> int:

@@ -169,6 +169,14 @@ class ReplicaStore:
     def replicas(self) -> list[Replica]:
         return [self._replicas[k] for k in sorted(self._replicas)]
 
+    def item_ids(self) -> list[str]:
+        """Ids of the items held, sorted: a sort of the items, not of the store."""
+        return sorted(self._by_item)
+
+    def keys_of(self, item_id: str) -> frozenset[ReplicaKey]:
+        """Keys of the replicas held for one item."""
+        return frozenset(self._by_item.get(item_id, ()))
+
     def _pinned(self, replica: Replica) -> bool:
         return self._pin_check(replica.fragment.item_id, replica.fragment.version)
 

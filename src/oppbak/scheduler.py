@@ -7,12 +7,14 @@ pulls the neediest item that fits the terminal's free space, ships its
 next fragment, folds the save into the item's reliability table, and
 re-queues the item only while it still falls short of its target.
 
-Deficits are recomputed lazily at pull time, so priority raises and
-background server saves are picked up without re-heaping.
+Deficits are cached: whoever changes one sends the queue a notice, and
+the next pull re-reads only the noticed ones. Items with every fragment
+sent are parked, out of meeting pulls, for the Internet-window flush.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, MutableMapping, Optional, Protocol
 
@@ -77,13 +79,18 @@ class LinkSession:
 class BackupQueue:
     """Deficit-ordered set of pending item versions.
 
-    Holds only keys and arrival sequence numbers; deficits are supplied
-    by the caller at pull time. Entries whose deficit has gone
-    non-positive since insertion are silently retired during a pull.
+    Live entries are (-deficit, seq, key) tuples in a heap: a meeting pull
+    costs O(log n) plus the entries it rejects. A `notice` makes the next
+    pull re-read that deficit, re-stamping or retiring the entry; stale
+    stamps are skipped, and purged once they outnumber live ones. Parked
+    entries stay out of the heap: only `pull(..., parked=True)` scans them.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[VersionKey, int] = {}
+        self._entries: dict[VersionKey, tuple[float, int, VersionKey]] = {}
+        self._heap: list[tuple[float, int, VersionKey]] = []
+        self._parked: set[VersionKey] = set()
+        self._noticed: set[VersionKey] = set()
         self._next_seq = 0
 
     def __len__(self) -> int:
@@ -93,43 +100,72 @@ class BackupQueue:
         return key in self._entries
 
     def keys(self) -> list[VersionKey]:
+        """Queued keys, parked ones included, in arrival order."""
         return list(self._entries)
 
-    def enqueue(self, key: VersionKey, deficit: float) -> bool:
+    def enqueue(self, key: VersionKey, deficit: float, parked: bool = False) -> bool:
         """Insert iff the item still falls short of its target (deficit > 0)."""
         if key in self._entries:
             raise UsageError(f"{key} is already queued")
         if deficit <= 0.0:
             return False
-        self._entries[key] = self._next_seq
+        entry = self._entries[key] = (-deficit, self._next_seq, key)
         self._next_seq += 1
+        if parked:
+            self._parked.add(key)
+        else:
+            heapq.heappush(self._heap, entry)
         return True
+
+    def notice(self, key: VersionKey) -> None:
+        """The deficit of `key` may have changed: re-read it at the next pull."""
+        if key in self._entries:
+            self._noticed.add(key)
 
     def pull(
         self,
         deficit_of: Callable[[VersionKey], float],
         eligible: Optional[Callable[[VersionKey], bool]] = None,
+        parked: bool = False,
     ) -> Optional[VersionKey]:
         """Remove and return the highest-deficit eligible entry.
 
-        Ties break FIFO by insertion sequence. Entries at or above their
-        target are dropped on sight; ineligible entries stay queued.
+        Ties break FIFO by insertion sequence. Noticed entries at or above
+        their target are dropped first; ineligible entries stay queued.
         """
-        best: Optional[tuple[float, int, VersionKey]] = None
-        for key, seq in list(self._entries.items()):
+        entries, heap = self._entries, self._heap
+        for key in self._noticed:
             deficit = deficit_of(key)
             if deficit <= 0.0:
-                del self._entries[key]
-                continue
-            if eligible is not None and not eligible(key):
-                continue
-            candidate = (-deficit, seq, key)
-            if best is None or candidate[:2] < best[:2]:
-                best = candidate
-        if best is None:
-            return None
-        del self._entries[best[2]]
-        return best[2]
+                del entries[key]
+                self._parked.discard(key)
+            elif -deficit != entries[key][0]:
+                entry = entries[key] = (-deficit, entries[key][1], key)
+                if key not in self._parked:
+                    heapq.heappush(heap, entry)
+        self._noticed.clear()
+        if parked:  # the server flush: one scan over live and parked entries
+            found = min((e for e in entries.values() if eligible is None or eligible(e[2])),
+                        default=None)
+        else:
+            found, rejected = None, []
+            while heap:
+                entry = heapq.heappop(heap)
+                if entries.get(entry[2]) is not entry:
+                    continue  # stale stamp
+                if eligible is None or eligible(entry[2]):
+                    found = entry
+                    break
+                rejected.append(entry)
+            for entry in rejected:
+                heapq.heappush(heap, entry)
+        if found is not None:
+            del entries[found[2]]
+            self._parked.discard(found[2])
+        if len(heap) > 2 * (len(entries) - len(self._parked)):
+            self._heap = [e for key, e in entries.items() if key not in self._parked]
+            heapq.heapify(self._heap)
+        return None if found is None else found[2]
 
 
 @dataclass
@@ -154,16 +190,18 @@ class Scheduler:
         """Queue an item while its success estimate falls short of its priority.
 
         Every requeue, the save loop's and the simulator's, goes through here.
+        An item with all n fragments sent is parked until a server upload.
         """
         if item.key not in self.index:
             raise UsageError(f"{item.key} is not registered")
-        return self.queue.enqueue(item.key, item.priority - current_success)
+        exhausted = self._next_index.get(item.key, 0) >= item.n
+        return self.queue.enqueue(item.key, item.priority - current_success, exhausted)
 
     def fragments_sent(self, key: VersionKey) -> int:
         return self._next_index.get(key, 0)
 
     def deficit_of(self, key: VersionKey) -> float:
-        """Current shortfall below target; the queue's lazy ordering key."""
+        """Current shortfall below target; the queue's ordering key."""
         return self.index.get(key).priority - self.success_of(key)
 
     def _fragment(self, key: VersionKey, i: int) -> Fragment:
@@ -208,8 +246,6 @@ class Scheduler:
             item = self.index.get(key)
             if item.expired(now):
                 return True  # pulled then retired below
-            if self._next_index.get(key, 0) >= item.n:
-                return False  # exhausted: stays queued awaiting a server flush
             if free is None:
                 free = terminal.free_bytes()
             return free >= fragment_wire_size(item.size_bytes, item.k)

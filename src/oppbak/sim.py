@@ -51,7 +51,7 @@ from .model import (
 from .peer import NoticeSource, ReplicaMetadata, ReplicaState, ReplicaStore
 from .reliability import ChannelEstimate, ReliabilityTable, composite_success
 from .scenario import ConfigError, ScenarioConfig, config_from_dict
-from .scheduler import LinkSession, Scheduler
+from .scheduler import BackupQueue, LinkSession, Scheduler
 
 TraceSink = Callable[[str], None]
 
@@ -359,13 +359,15 @@ class _Tables(dict):
     closure. Replacing a table forgets the memo, as must a version
     reaching the server (`forget`). Forgetting covers the version's full
     reverse-dependency closure: a dependent can be memoised while its
-    dependency is not, so the walk cannot stop at the first gap. The map
-    holds no reference to the simulation, so it adds no reference cycle.
+    dependency is not, so the walk cannot stop at the first gap. Each
+    entry forgotten is noticed to its owner's queue, which cached a deficit
+    from it. With no reference to the simulation, the map adds no cycle.
     """
 
-    def __init__(self, index: VersionIndex) -> None:
+    def __init__(self, index: VersionIndex, queues: dict[str, BackupQueue]) -> None:
         super().__init__()
         self.index = index
+        self.queues = queues
         self.success: dict[VersionKey, float] = {}
 
     def __setitem__(self, key: VersionKey, table: ReliabilityTable) -> None:
@@ -373,11 +375,10 @@ class _Tables(dict):
         self.forget(key)
 
     def forget(self, key: VersionKey) -> None:
-        success = self.success
-        success.pop(key, None)
-        if success:
-            for dependent in self.index.transitive_dependents(key):
-                success.pop(dependent, None)
+        if self.success:
+            for forgotten in (key, *self.index.transitive_dependents(key)):
+                if self.success.pop(forgotten, None) is not None:
+                    self.queues[self.index.get(forgotten).owner].notice(forgotten)
 
 
 class Simulation:
@@ -391,7 +392,8 @@ class Simulation:
         self.producers = self.names[: config.terminals.producers]
         self.alive: dict[str, bool] = {t: True for t in self.names}
         self.index = VersionIndex()
-        self.tables = _Tables(self.index)
+        queues = {owner: BackupQueue() for owner in self.producers}
+        self.tables = _Tables(self.index, queues)
         self.payloads: dict[VersionKey, bytes] = {}
         self.fragment_sets: dict[VersionKey, FragmentSet] = {}
         self.owned_ids: dict[str, list[str]] = {t: [] for t in self.producers}
@@ -431,6 +433,7 @@ class Simulation:
                 tables=self.tables,
                 success_of=self.success_of,
                 fragment_for=self._fragment_for if config.payload_mode else None,
+                queue=queues[owner],
             )
             for owner in self.producers
         }
@@ -504,6 +507,7 @@ class Simulation:
         # a raised dependency may fall short of its new target again
         for dep_key in sorted(raised):
             dep = self.index.get(dep_key)
+            self.schedulers[dep.owner].queue.notice(dep_key)  # its deficit grew
             if dep.owner == owner and dep_key not in scheduler.queue:
                 if not self.index.is_on_server(dep_key):
                     scheduler.enqueue(dep, self.success_of(dep_key))
@@ -515,20 +519,16 @@ class Simulation:
     def _send_owner_notices(self, owner: str, peer: str) -> None:
         """The owner tells a peer which of its held versions are superseded."""
         store = self.stores[peer]
-        held: dict[str, int] = {}
-        for replica in store.replicas():
-            if replica.meta.owner == owner and replica.version_key in self.index:
-                item_id = replica.fragment.item_id
-                held[item_id] = max(held.get(item_id, 0), replica.fragment.version)
-        for item_id in sorted(held):
-            latest = self.index.latest_version(item_id)
-            if held[item_id] < latest:
-                changed = store.notify(NoticeSource.OWNER_NOTICE, item_id, latest)
-                if changed:
-                    self._trace(
-                        f"{self.now:.6f} NOTICE kind=owner from={owner} to={peer} "
-                        f"item={item_id}@{latest} bytes=0"
-                    )
+        for item_id in store.item_ids():
+            held = [version for who, _, version, _ in store.keys_of(item_id)
+                    if who == owner and (item_id, version) in self.index]
+            if not held or max(held) >= (latest := self.index.latest_version(item_id)):
+                continue
+            if store.notify(NoticeSource.OWNER_NOTICE, item_id, latest):
+                self._trace(
+                    f"{self.now:.6f} NOTICE kind=owner from={owner} to={peer} "
+                    f"item={item_id}@{latest} bytes=0"
+                )
 
     def _on_encounter(self, event: EncounterEvent) -> None:
         a, b = event.a, event.b
@@ -597,7 +597,7 @@ class Simulation:
             item = self.index.get(key)
             return item.expired(self.now) or item.size_bytes <= budget
 
-        while (key := scheduler.queue.pull(scheduler.deficit_of, eligible)) is not None:
+        while (key := scheduler.queue.pull(scheduler.deficit_of, eligible, parked=True)):
             item = self.index.get(key)
             if item.expired(self.now):
                 continue
@@ -641,8 +641,7 @@ class Simulation:
 
     def _confirm_served(self, terminal: str, uploaded_ids: set[str]) -> None:
         store = self.stores[terminal]
-        held_ids = sorted({r.fragment.item_id for r in store.replicas()})
-        for item_id in held_ids:
+        for item_id in store.item_ids():
             vmax = self.index.latest_on_server(item_id)
             if vmax is None:
                 continue

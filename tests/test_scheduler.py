@@ -90,8 +90,49 @@ class TestBackupQueue:
         q.enqueue(("a", 1), 0.9)
         q.enqueue(("b", 1), 0.4)
         live = {("a", 1): -0.2, ("b", 1): 0.4}  # a reached target meanwhile
+        q.notice(("a", 1))
         assert q.pull(lambda key: live[key]) == ("b", 1)
         assert len(q) == 0
+
+    def test_noticed_deficits_reorder_and_stale_stamps_stay_bounded(self, rng: random.Random):
+        q = BackupQueue()
+        deficits = {}
+        for i in range(50):
+            key = (f"i{i}", 1)
+            deficits[key] = rng.random() + 0.01
+            q.enqueue(key, deficits[key])
+        arrival = list(deficits)
+        while len(q):
+            for key in rng.sample(q.keys(), min(len(q), 8)):
+                deficits[key] = rng.choice([-0.1, 0.0, rng.random() + 0.01, deficits[key]])
+                q.notice(key)
+            queued = [key for key in q.keys() if deficits[key] > 0.0]
+            expected = min(queued, key=lambda key: (-deficits[key], arrival.index(key)),
+                           default=None)
+            assert q.pull(lambda key: deficits[key]) == expected
+            assert q.keys() == [key for key in queued if key != expected]
+            assert len(q._heap) <= 2 * len(q)
+
+    def test_parked_entries_come_out_of_the_flush_only(self):
+        def filled():
+            q = BackupQueue()
+            for name, deficit, parked in [("a", 0.5, False), ("b", 0.9, True), ("c", 0.5, True),
+                                          ("d", 0.7, False), ("e", 0.5, False)]:
+                q.enqueue((name, 1), deficit, parked=parked)
+            return q
+
+        def drain(q, **kwargs):
+            pulled = []
+            while (key := q.pull(lambda key: 1.0, **kwargs)) is not None:
+                pulled.append(key[0])
+            return pulled
+
+        meeting = filled()
+        assert drain(meeting) == ["d", "a", "e"]
+        assert meeting.keys() == [("b", 1), ("c", 1)]
+        assert drain(filled(), parked=True) == ["b", "d", "a", "c", "e"]
+        flush = filled()
+        assert flush.pull(lambda key: 1.0, lambda key: key[0] in "ce", parked=True) == ("c", 1)
 
     def test_ineligible_entries_stay(self):
         q = BackupQueue()
@@ -279,3 +320,4 @@ class TestOnMeeting:
         scheduler.on_meeting(terminal, LinkSession(10**6))
         (_, _, _, declared) = terminal.saved[0]
         assert declared == pytest.approx(0.4)  # post-save estimate
+

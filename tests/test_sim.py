@@ -178,6 +178,39 @@ class TestScriptedRuns:
         assert not sim.index.is_on_server(("t00/d0000", 1))
         assert ("t00/d0000", 1) in sim.schedulers["t00"].queue  # retained
 
+    @pytest.mark.parametrize("loop", ["meeting", "window"])
+    def test_exhausted_entry_retired_when_satisfied_then_requeued_on_raise(self, loop):
+        sim = Simulation(quiet_config(
+            payload_mode=False, terminals={"count": 4, "base_reliability": 0.8}
+        ))
+        queue = sim.schedulers["t00"].queue
+        wire = fragment_wire_size(100, 1)
+        dep = item_spec("t00/d0000", size=100, priority=0.9, n=2, k=1)
+        top = item_spec("t00/d0001", size=100, priority=0.7, n=1, k=1, deps=(dep.key,))
+        produce(sim, 1.0, dep)
+        produce(sim, 2.0, top)
+        # room for two fragments: dep (deficit 0.9) then top (0.7); top is then
+        # exhausted (n=1) but still short at 0.8 * 0.8 = 0.64 < 0.7
+        meet(sim, 3.0, "t00", "t01", 2 * wire)
+        assert sim.schedulers["t00"].fragments_sent(top.key) == top.n
+        assert queue.keys() == [dep.key, top.key]
+        # t01 uploads dep's fragment (k=1): dep is served, so top's estimate
+        # becomes 0.8 >= 0.7 without any save of its own
+        sim.process(InternetWindowEvent(time=4.0, terminal="t01", duration=1.0, bandwidth=wire))
+        assert sim.index.is_on_server(dep.key) and not sim.index.is_on_server(top.key)
+        assert sim.schedulers["t00"].deficit_of(top.key) <= 0.0
+        assert top.key in queue  # retired at the next pull, not before
+        if loop == "meeting":
+            meet(sim, 5.0, "t00", "t02", 10**6)
+        else:
+            sim.process(InternetWindowEvent(time=5.0, terminal="t00", duration=1.0, bandwidth=1))
+        assert len(queue) == 0
+        # a dependent raises top's target above its estimate: top comes back,
+        # behind the dependent that was queued first
+        later = item_spec("t00/d0002", size=100, priority=0.95, n=2, k=1, deps=(top.key,))
+        produce(sim, 6.0, later)
+        assert queue.keys() == [later.key, top.key]
+
     def test_expired_items_not_measured(self):
         sim = Simulation(quiet_config())
         produce(sim, 1.0, item_spec(lifetime=100.0))

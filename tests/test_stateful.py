@@ -11,10 +11,15 @@ recomputation from scratch:
 * every store's byte count equals the recomputed sum;
 * the version index's peer holdings equal the union of store contents;
 * no pinned replica is ever deleted as useless;
-* the memoised `success_of` equals a fresh `composite_success`.
+* the memoised `success_of` equals a fresh `composite_success`;
+* every backup queue, once its pending notices are applied, caches each
+  entry's current deficit, and its next meeting pick is the linear-scan
+  argmax over (-deficit, seq) of the entries not yet exhausted.
 """
 
 from __future__ import annotations
+
+import copy
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -188,6 +193,20 @@ class SimulationMachine(RuleBasedStateMachine):
         index, tables = self.sim.index, self.sim.tables
         for key in sorted(index.keys()):
             assert self.sim.success_of(key) == composite_success(index.get(key), tables, index)
+
+    @invariant()
+    def queue_matches_linear_scan(self):
+        index = self.sim.index
+        for scheduler in self.sim.schedulers.values():
+            queue = copy.deepcopy(scheduler.queue)
+            assert queue.pull(scheduler.deficit_of, lambda key: False) is None  # notices only
+            entries = queue._entries
+            for key, (neg_deficit, _, _) in entries.items():
+                assert -neg_deficit == scheduler.deficit_of(key) > 0.0, key
+            sendable = [entry for key, entry in entries.items()
+                        if scheduler.fragments_sent(key) < index.get(key).n]
+            expected = min(sendable)[2] if sendable else None
+            assert queue.pull(scheduler.deficit_of) == expected
 
 
 SimulationMachine.TestCase.settings = settings(
