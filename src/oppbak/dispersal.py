@@ -9,6 +9,11 @@ bytes index the product-table rows of its column's coefficients, and the
 gathered rows are XORed into the output, so splitting and rebuilding large
 payloads stays cheap.
 
+`split` makes the k data fragments at once. The n - k parity fragments
+are computed together at the first request for any of them, since a
+sender that stops before index k never needs them. `reconstruct` copies
+the data chunks it was given and decodes only the missing ones.
+
 Wire format (big-endian, fixed 51-byte header, then the chunk bytes):
 
     offset  size  field
@@ -26,9 +31,9 @@ k * chunk and the true length travels in the header.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -134,14 +139,41 @@ def fragment_wire_size(original_size: int, k: int) -> int:
     return HEADER_SIZE + chunk_size(original_size, k)
 
 
-@dataclass(frozen=True)
+@dataclass
 class FragmentSet:
-    """All n fragments of one split, in index order."""
+    """The n fragments of one split, in index order.
+
+    `data` holds the k data fragments, made by `split`. The n - k parity
+    fragments are computed together from the data fragments' bytes at the
+    first `fragment(i)` with i >= k, at most once per set.
+    """
 
     n: int
     k: int
     original_size: int
-    fragments: tuple[Fragment, ...]
+    data: tuple[Fragment, ...]
+    _parity: Optional[tuple[Fragment, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def fragment(self, i: int) -> Fragment:
+        """Fragment number i; the first parity index computes the whole parity block."""
+        if not 0 <= i < self.n:
+            raise IndexError(f"fragment index {i} outside 0..{self.n - 1}")
+        if i < self.k:
+            return self.data[i]
+        if self._parity is None:
+            shards = [np.frombuffer(f.payload, dtype=np.uint8) for f in self.data]
+            rows = _combine(_encode_matrix(self.n, self.k)[self.k:], shards)
+            self._parity = tuple(
+                replace(self.data[0], index=self.k + j, payload=row.tobytes())
+                for j, row in enumerate(rows)
+            )
+        return self._parity[i - self.k]
+
+    @property
+    def fragments(self) -> tuple[Fragment, ...]:
+        return tuple(self.fragment(i) for i in range(self.n))
 
     @property
     def chunk(self) -> int:
@@ -152,9 +184,9 @@ class FragmentSet:
         return self.n * (HEADER_SIZE + self.chunk)
 
 
-def _combine(matrix: np.ndarray, shards: np.ndarray) -> np.ndarray:
-    """Matrix-times-shards over GF(256): matrix (r x k) applied to shards (k x c)."""
-    out = np.zeros((matrix.shape[0], shards.shape[1]), dtype=np.uint8)
+def _combine(matrix: np.ndarray, shards: np.ndarray | list[np.ndarray]) -> np.ndarray:
+    """Matrix-times-shards over GF(256): matrix (r x k) applied to k shards of c bytes."""
+    out = np.zeros((matrix.shape[0], len(shards[0])), dtype=np.uint8)
     for j, shard in enumerate(shards):
         out ^= np.take(_MUL[matrix[:, j]], shard, axis=1)
     return out
@@ -177,25 +209,19 @@ def split(
         raise UsageError(f"item id {item_id!r} exceeds the 32-byte header slot")
     size = len(payload)
     chunk = chunk_size(size, k)
-    padded = payload + b"\x00" * (k * chunk - size)
-    data = np.frombuffer(padded, dtype=np.uint8).reshape(k, chunk)
-    matrix = _encode_matrix(n, k)
-    parity = _combine(matrix[k:], data) if n > k else None
-    fragments = []
-    for i in range(n):
-        chunk_bytes = data[i].tobytes() if i < k else parity[i - k].tobytes()
-        fragments.append(
-            Fragment(
-                item_id=item_id,
-                version=version,
-                index=i,
-                n=n,
-                k=k,
-                original_size=size,
-                payload=chunk_bytes,
-            )
+    data = tuple(
+        Fragment(
+            item_id=item_id,
+            version=version,
+            index=i,
+            n=n,
+            k=k,
+            original_size=size,
+            payload=bytes(payload[i * chunk : (i + 1) * chunk]).ljust(chunk, b"\x00"),
         )
-    return FragmentSet(n=n, k=k, original_size=size, fragments=tuple(fragments))
+        for i in range(k)
+    )
+    return FragmentSet(n=n, k=k, original_size=size, data=data)
 
 
 def reconstruct(fragments: Iterable[Fragment]) -> bytes:
@@ -231,14 +257,13 @@ def reconstruct(fragments: Iterable[Fragment]) -> bytes:
                 f"expected {chunk}"
             )
     chosen = sorted(by_index)[:k]
-    shards = np.stack(
-        [np.frombuffer(by_index[i].payload, dtype=np.uint8) for i in chosen]
-    )
-    if chosen == list(range(k)):
-        data = shards  # systematic fast path: the chunks are the payload
-    else:
-        data = _combine(_decode_matrix(ref.n, k, tuple(chosen)), shards)
-    return data.reshape(-1)[: ref.original_size].tobytes()
+    chunks = {i: by_index[i].payload for i in chosen if i < k}  # data chunks as given
+    missing = [i for i in range(k) if i not in chunks]
+    if missing:
+        shards = [np.frombuffer(by_index[i].payload, dtype=np.uint8) for i in chosen]
+        decoded = _combine(_decode_matrix(ref.n, k, tuple(chosen))[missing], shards)
+        chunks.update(zip(missing, (row.tobytes() for row in decoded)))
+    return b"".join(chunks[i] for i in range(k))[: ref.original_size]
 
 
 def pack_fragment(fragment: Fragment) -> bytes:

@@ -394,7 +394,6 @@ class Simulation:
         self.index = VersionIndex()
         queues = {owner: BackupQueue() for owner in self.producers}
         self.tables = _Tables(self.index, queues)
-        self.payloads: dict[VersionKey, bytes] = {}
         self.fragment_sets: dict[VersionKey, FragmentSet] = {}
         self.owned_ids: dict[str, list[str]] = {t: [] for t in self.producers}
         self.server_fragments: dict[VersionKey, dict[int, Fragment]] = {}
@@ -482,7 +481,7 @@ class Simulation:
         return value
 
     def _fragment_for(self, key: VersionKey, i: int):
-        return self.fragment_sets[key].fragments[i]
+        return self.fragment_sets[key].fragment(i)
 
     # -- event handlers --------------------------------------------------
 
@@ -498,7 +497,6 @@ class Simulation:
         self.tables[item.key] = ReliabilityTable.fresh(item.k)
         if self.config.payload_mode:
             payload = _payload_for(item.key, item.size_bytes, self._twister)
-            self.payloads[item.key] = payload
             self.fragment_sets[item.key] = split(
                 payload, item.n, item.k, item_id=item.id, version=item.version
             )
@@ -710,7 +708,8 @@ class Simulation:
             own_ok = len(available) >= item.k
             if own_ok and self.config.payload_mode:
                 rebuilt = reconstruct(list(available.values())[: item.k])
-                if rebuilt != self.payloads[key]:
+                data = self.fragment_sets[key].data  # systematic: the payload's chunks
+                if rebuilt != b"".join(f.payload for f in data)[: item.size_bytes]:
                     raise IntegrityError(f"reconstruction of {key} does not match the original")
         ok = own_ok and all(self._restorable(d, memo) for d in item.temporal_deps)
         memo[key] = ok
@@ -793,7 +792,7 @@ class Simulation:
 
         Stores and schedulers call back into the simulation, so they are
         released once the report exists: a finished run is then freed by
-        reference counting alone, payloads included, without waiting for
+        reference counting alone, fragment sets included, without waiting for
         the cycle collector.
         """
         # the timeline is sorted, so in (time, seq) order it is a heap already

@@ -86,6 +86,58 @@ class TestSplit:
             assert fs.storage_bytes == payload_bytes + n * HEADER_SIZE
 
 
+# (n, k): the benchmark's code, no parity (k = n) and replication (k = 1)
+LAZY_SHAPES = [(16, 10), (5, 5), (4, 1)]
+
+
+class TestLazyParity:
+    @pytest.fixture
+    def combined(self, monkeypatch):
+        """Row count of every `_combine` call made while the test runs."""
+        calls = []
+        real = dispersal._combine
+        monkeypatch.setattr(
+            dispersal, "_combine", lambda m, s: calls.append(len(m)) or real(m, s)
+        )
+        return calls
+
+    @pytest.mark.parametrize("n, k", LAZY_SHAPES)
+    @pytest.mark.parametrize("order", ["parity first", "data first", "random"])
+    def test_fragment_matches_fragments_in_any_order(self, rng: random.Random, n, k, order):
+        payload = rng.randbytes(rng.randint(1, 5000))
+        expected = split(payload, n, k, item_id="x", version=4).fragments
+        indices = list(range(n))
+        if order == "parity first":
+            indices = indices[k:] + indices[:k]
+        elif order == "random":
+            rng.shuffle(indices)
+        fs = split(payload, n, k, item_id="x", version=4)
+        assert [fs.fragment(i) for i in indices] == [expected[i] for i in indices]
+        assert fs.fragments == expected
+        assert reconstruct(expected[n - k:]) == payload
+
+    @pytest.mark.parametrize("n, k", LAZY_SHAPES)
+    def test_parity_computed_once_and_only_when_requested(
+        self, rng: random.Random, combined, n, k
+    ):
+        dispersal._encode_matrix(n, k)  # building the cached matrix is not parity work
+        combined.clear()
+        fs = split(rng.randbytes(5000), n, k)
+        for i in range(k):
+            fs.fragment(i)
+        assert combined == []
+        for i in [*range(n - 1, k - 1, -1), *range(k, n)]:
+            fs.fragment(i)
+        assert len(fs.fragments) == n
+        assert combined == ([n - k] if n > k else [])
+
+    def test_index_outside_the_set_rejected(self):
+        fs = split(b"abcdef", 3, 2)
+        for i in (-1, 3):
+            with pytest.raises(IndexError):
+                fs.fragment(i)
+
+
 class TestReconstruct:
     def test_exhaustive_subsets(self, rng: random.Random):
         for n in range(1, 7):

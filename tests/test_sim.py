@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -6,8 +7,9 @@ import weakref
 import numpy as np
 import pytest
 
+from oppbak import dispersal
 from oppbak.dispersal import fragment_wire_size
-from oppbak.model import DataItem
+from oppbak.model import DataItem, IntegrityError
 from oppbak.reliability import ReliabilityTable, composite_success
 from oppbak.scenario import ConfigError, config_from_dict
 from oppbak.sim import (
@@ -102,6 +104,39 @@ class TestScriptedRuns:
         assert report.outcomes == {"t00/d0000@1": "recoverable_from_peers"}
         assert report.fragments_saved == 2
         assert report.calibration_episodes == ((0.9, 1),)  # estimate, honest fate
+
+    def test_corrupted_parity_fragment_fails_the_restore_check(self):
+        sim = Simulation(quiet_config())
+        key = ("t00/d0000", 1)
+        produce(sim, 1.0, item_spec(size=1000, n=4, k=2))
+        meet(sim, 10.0, "t00", "t01", fragment_wire_size(1000, 2))
+        meet(sim, 20.0, "t00", "t02", 2 * fragment_wire_size(1000, 2))
+        sim.process(TerminalFailureEvent(time=30.0, terminal="t01"))
+        assert sim.index.peer_holdings(key) == {"t01": {0}, "t02": {1, 2}}
+        assert sim._restorable(key, {})  # rebuilt from data 1 and parity 2
+        replica = sim.stores["t02"].get(("t00", *key, 2))
+        flipped = bytearray(replica.fragment.payload)
+        flipped[0] ^= 0x01
+        replica.fragment = dataclasses.replace(replica.fragment, payload=bytes(flipped))
+        with pytest.raises(IntegrityError):
+            sim._restorable(key, {})
+
+    def test_no_parity_computed_while_only_data_fragments_are_sent(self, monkeypatch):
+        dispersal._encode_matrix(4, 2)  # its own construction is not parity work
+        combined = []
+        real = dispersal._combine
+        monkeypatch.setattr(
+            dispersal, "_combine", lambda m, s: combined.append(len(m)) or real(m, s)
+        )
+        sim = Simulation(quiet_config())
+        produce(sim, 1.0, item_spec(size=1000, n=4, k=2))
+        produce(sim, 2.0, item_spec("t00/d0001", size=1000, n=4, k=2, priority=0.5))
+        meet(sim, 10.0, "t00", "t01", 2 * fragment_wire_size(1000, 2))
+        fail_and_restore(sim, 100.0, "t00")
+        assert sim.finish().outcomes == {
+            "t00/d0000@1": "recoverable_from_peers", "t00/d0001@1": "lost"
+        }
+        assert combined == []
 
     def test_k_minus_one_fragments_lost(self):
         sim = Simulation(quiet_config())
