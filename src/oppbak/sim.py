@@ -20,6 +20,12 @@ terminal within one session share a single draw, which is exactly the
 correlation the estimator's batch update assumes, so with honest config
 the predicted restore probabilities are calibrated against realized
 outcomes.
+
+Fragment fate: a failed draw means the owner cannot reach the holder; the
+holder keeps the fragment. Restores skip it on the peer, but the holder
+still uploads it to the server in its own windows, a peer-to-server path
+the restore-probability estimate ignores. A fate lives as long as its
+replica.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .model import (
     IntegrityError,
     Location,
     Production,
+    UsageError,
     VersionIndex,
     VersionKey,
     detect_conflict,
@@ -108,14 +115,6 @@ Event = Union[
     TerminalFailureEvent,
     RestoreAttemptEvent,
 ]
-
-_KIND_RANK = {
-    DataProducedEvent: 0,
-    EncounterEvent: 1,
-    InternetWindowEvent: 2,
-    TerminalFailureEvent: 3,
-    RestoreAttemptEvent: 4,
-}
 
 
 def _stream(seed: int, name: str) -> random.Random:
@@ -224,6 +223,8 @@ def calibration_check(
     prediction and the fraction of episodes that actually restored. The
     check measures the gap, it never corrects it.
     """
+    if bins < 1:
+        raise UsageError(f"bins must be >= 1, got {bins}")
     episodes = report.calibration_episodes
     if not episodes:
         return CalibrationResult(episodes=0, bins=(), empty=True)
@@ -445,9 +446,22 @@ class Simulation:
 
     # -- shared helpers ------------------------------------------------
 
-    def _trace(self, line: str) -> None:
-        if self.trace_sink is not None:
-            self.trace_sink(line)
+    def _trace(self, kind: str, nbytes: int = 0, /, **fields: Any) -> None:
+        """Emit `{now:.6f} KIND name=value ... bytes=N` to the sink, if any.
+
+        Fields keep call order; a tuple value is joined with `@` and a
+        trailing `_` is dropped from a name (`from_=` writes `from=`).
+        Without a sink nothing is formatted.
+        """
+        if self.trace_sink is None:
+            return
+        parts = [f"{self.now:.6f} {kind}"]
+        for name, value in fields.items():
+            if isinstance(value, tuple):
+                value = "@".join(map(str, value))
+            parts.append(f"{name.removesuffix('_')}={value}")
+        parts.append(f"bytes={nbytes}")
+        self.trace_sink(" ".join(parts))
 
     def _pin_check(self, item_id: str, version: int) -> bool:
         key = (item_id, version)
@@ -455,15 +469,11 @@ class Simulation:
 
     def _deletion_hook(self, terminal: str):
         def hook(replica, reason: str) -> None:
-            self.index.drop_peer_holding(
-                replica.version_key, terminal, replica.fragment.index
-            )
+            key, index = replica.version_key, replica.fragment.index
+            self.index.drop_peer_holding(key, terminal, index)
+            del self.fates[(terminal, *key, index)]
             self._record_occupancy(terminal)
-            self._trace(
-                f"{self.now:.6f} DELETE terminal={terminal} "
-                f"item={replica.fragment.item_id}@{replica.fragment.version} "
-                f"frag={replica.fragment.index} reason={reason} bytes=0"
-            )
+            self._trace("DELETE", terminal=terminal, item=key, frag=index, reason=reason)
         return hook
 
     def _record_occupancy(self, terminal: str) -> None:
@@ -509,10 +519,7 @@ class Simulation:
             if dep.owner == owner and dep_key not in scheduler.queue:
                 if not self.index.is_on_server(dep_key):
                     scheduler.enqueue(dep, self.success_of(dep_key))
-        self._trace(
-            f"{self.now:.6f} PRODUCE owner={owner} item={item.id}@{item.version} "
-            f"bytes={item.size_bytes}"
-        )
+        self._trace("PRODUCE", item.size_bytes, owner=owner, item=item.key)
 
     def _send_owner_notices(self, owner: str, peer: str) -> None:
         """The owner tells a peer which of its held versions are superseded."""
@@ -523,17 +530,14 @@ class Simulation:
             if not held or max(held) >= (latest := self.index.latest_version(item_id)):
                 continue
             if store.notify(NoticeSource.OWNER_NOTICE, item_id, latest):
-                self._trace(
-                    f"{self.now:.6f} NOTICE kind=owner from={owner} to={peer} "
-                    f"item={item_id}@{latest} bytes=0"
-                )
+                self._trace("NOTICE", kind="owner", from_=owner, to=peer, item=(item_id, latest))
 
     def _on_encounter(self, event: EncounterEvent) -> None:
         a, b = event.a, event.b
         if not (self.alive[a] and self.alive[b]):
             return
         budget = int(event.duration * event.bandwidth)
-        self._trace(f"{self.now:.6f} ENCOUNTER a={a} b={b} bytes={budget}")
+        self._trace("ENCOUNTER", budget, a=a, b=b)
         if budget <= 0:
             return
         for owner, peer in ((a, b), (b, a)):
@@ -546,10 +550,7 @@ class Simulation:
             scheduler = self.schedulers.get(owner)
             if scheduler is None or not link.reachable:
                 continue
-            if (
-                self.config.terminals.backup_peers == "nonproducers"
-                and peer in self.schedulers
-            ):
+            if self.config.terminals.backup_peers == "nonproducers" and peer in self.schedulers:
                 continue
             terminal = _PeerTerminal(self, peer)
             outcomes = scheduler.on_meeting(terminal, link, now=self.now)
@@ -560,16 +561,13 @@ class Simulation:
                 key = outcome.key
                 if key not in session_fate:
                     session_fate[key] = self._channels.random() < self.true_retrieval
-                self.fates[(peer, key[0], key[1], outcome.fragment_index)] = session_fate[key]
+                self.fates[(peer, *key, outcome.fragment_index)] = session_fate[key]
                 self.index.record_peer_holding(key, peer, outcome.fragment_index)
                 self.bytes_to_peers += outcome.bytes_transferred
                 self.fragments_saved += 1
                 self._record_occupancy(peer)
-                self._trace(
-                    f"{self.now:.6f} SAVE from={owner} to={peer} "
-                    f"item={key[0]}@{key[1]} frag={outcome.fragment_index} "
-                    f"bytes={outcome.bytes_transferred}"
-                )
+                self._trace("SAVE", outcome.bytes_transferred, from_=owner, to=peer,
+                            item=key, frag=outcome.fragment_index)
 
     def _mark_served(self, key: VersionKey) -> None:
         self.index.mark_on_server(key)
@@ -580,7 +578,7 @@ class Simulation:
         if not self.alive[terminal]:
             return
         budget = int(event.duration * event.bandwidth)
-        self._trace(f"{self.now:.6f} WINDOW terminal={terminal} bytes={budget}")
+        self._trace("WINDOW", budget, terminal=terminal)
         if budget <= 0:
             return
         scheduler = self.schedulers.get(terminal)
@@ -602,10 +600,7 @@ class Simulation:
             budget -= item.size_bytes
             self.bytes_to_server += item.size_bytes
             self._mark_served(key)
-            self._trace(
-                f"{self.now:.6f} UPLOAD_ITEM from={owner} item={key[0]}@{key[1]} "
-                f"bytes={item.size_bytes}"
-            )
+            self._trace("UPLOAD_ITEM", item.size_bytes, from_=owner, item=key)
         return budget
 
     def _flush_held_replicas(self, terminal: str, budget: int) -> set[str]:
@@ -629,10 +624,7 @@ class Simulation:
             have[replica.fragment.index] = replica.fragment
             self.bytes_to_server += size
             uploaded_ids.add(key[0])
-            self._trace(
-                f"{self.now:.6f} UPLOAD_FRAG from={terminal} item={key[0]}@{key[1]} "
-                f"frag={replica.fragment.index} bytes={size}"
-            )
+            self._trace("UPLOAD_FRAG", size, from_=terminal, item=key, frag=replica.fragment.index)
             if len(have) >= self.index.get(key).k:
                 self._mark_served(key)
         return uploaded_ids
@@ -643,36 +635,25 @@ class Simulation:
             vmax = self.index.latest_on_server(item_id)
             if vmax is None:
                 continue
-            source = (
-                NoticeSource.SAVE_BY_ME
-                if item_id in uploaded_ids
-                else NoticeSource.SERVER_NOTICE
-            )
-            changed = store.notify(source, item_id, vmax)
-            if changed:
-                self._trace(
-                    f"{self.now:.6f} NOTICE kind={source.value} to={terminal} "
-                    f"item={item_id}@{vmax} bytes=0"
-                )
+            uploaded = item_id in uploaded_ids
+            source = NoticeSource.SAVE_BY_ME if uploaded else NoticeSource.SERVER_NOTICE
+            if store.notify(source, item_id, vmax):
+                self._trace("NOTICE", kind=source.value, to=terminal, item=(item_id, vmax))
         store.purge(self.now)
 
-    def _on_failure(self, event: TerminalFailureEvent) -> tuple[Event, ...]:
+    def _on_failure(self, event: TerminalFailureEvent) -> Optional[tuple[Event, ...]]:
         terminal = event.terminal
         if not self.alive[terminal]:
-            return ()
+            return
         self.alive[terminal] = False
-        self._trace(f"{self.now:.6f} FAIL terminal={terminal} bytes=0")
+        self._trace("FAIL", terminal=terminal)
         if terminal not in self.schedulers:
-            return ()
+            return
         self.pending_restores[terminal] = [
             (item.key, 1.0 if self.index.is_on_server(item.key) else self.success_of(item.key))
             for item in self._current_items(sorted(self.owned_ids[terminal]))
         ]
-        return (
-            RestoreAttemptEvent(
-                time=self.now + self.config.restore_delay_s, owner=terminal
-            ),
-        )
+        return (RestoreAttemptEvent(time=self.now + self.config.restore_delay_s, owner=terminal),)
 
     # -- restorability ----------------------------------------------------
 
@@ -729,19 +710,14 @@ class Simulation:
                 if self._restorable((item_id, version), memo):
                     best = version
             if best is None:
-                self._trace(
-                    f"{self.now:.6f} RESTORE_FAIL owner={owner} item={item_id} bytes=0"
-                )
+                self._trace("RESTORE_FAIL", owner=owner, item=item_id)
                 continue
             restored_from = (
                 Location.SERVER
                 if self.index.is_on_server((item_id, best))
                 else Location.PEER
             )
-            self._trace(
-                f"{self.now:.6f} RESTORE owner={owner} item={item_id}@{best} "
-                f"source={restored_from.value} bytes=0"
-            )
+            self._trace("RESTORE", owner=owner, item=(item_id, best), source=restored_from.value)
             report = detect_conflict(
                 self.index.records_for(item_id, alive=alive_now), restored_from, best
             )
@@ -757,12 +733,23 @@ class Simulation:
                     }
                 )
                 self._trace(
-                    f"{self.now:.6f} CONFLICT item={item_id} "
-                    f"restored={report.restored_version}@{report.restored_from.value} "
-                    f"newer={report.newer_version}@{report.newer_location.value} bytes=0"
+                    "CONFLICT",
+                    item=item_id,
+                    restored=(report.restored_version, report.restored_from.value),
+                    newer=(report.newer_version, report.newer_location.value),
                 )
 
     # -- driving --------------------------------------------------------
+
+    # Every event kind with its handler, in same-time order: at equal
+    # timestamps the generated timeline puts the earlier kind first.
+    _HANDLERS = {
+        DataProducedEvent: _on_produced,
+        EncounterEvent: _on_encounter,
+        InternetWindowEvent: _on_window,
+        TerminalFailureEvent: _on_failure,
+        RestoreAttemptEvent: _on_restore,
+    }
 
     def process(self, event: Event) -> tuple[Event, ...]:
         """Apply one event at its timestamp; returns any follow-up events.
@@ -772,29 +759,14 @@ class Simulation:
         """
         if event.time < self.now:
             raise ConfigError(f"event at {event.time} is behind the clock {self.now}")
-        self.now = event.time
-        if isinstance(event, DataProducedEvent):
-            self._on_produced(event)
-        elif isinstance(event, EncounterEvent):
-            self._on_encounter(event)
-        elif isinstance(event, InternetWindowEvent):
-            self._on_window(event)
-        elif isinstance(event, TerminalFailureEvent):
-            return self._on_failure(event)
-        elif isinstance(event, RestoreAttemptEvent):
-            self._on_restore(event)
-        else:
+        handler = self._HANDLERS.get(type(event))
+        if handler is None:
             raise ConfigError(f"unknown event type {type(event).__name__}")
-        return ()
+        self.now = event.time
+        return handler(self, event) or ()
 
     def run(self) -> MetricsReport:
-        """Process the generated timeline to the horizon and report.
-
-        Stores and schedulers call back into the simulation, so they are
-        released once the report exists: a finished run is then freed by
-        reference counting alone, fragment sets included, without waiting for
-        the cycle collector.
-        """
+        """Process the generated timeline, then `finish` the run."""
         # the timeline is sorted, so in (time, seq) order it is a heap already
         heap = [(event.time, seq, event) for seq, event in enumerate(generate_events(self.config))]
         seq = len(heap)
@@ -803,18 +775,18 @@ class Simulation:
             for follow_up in self.process(event):
                 heapq.heappush(heap, (follow_up.time, seq, follow_up))
                 seq += 1
-        self.now = self.config.horizon_s
-        report = self._final_report()
-        self.stores.clear()
-        self.schedulers.clear()
-        return report
+        return self.finish()
 
     def finish(self) -> MetricsReport:
-        """Close a scripted run at the horizon and classify every item."""
-        self.now = max(self.now, self.config.horizon_s)
-        return self._final_report()
+        """Close the run: classify every item at `horizon_s` and report.
 
-    def _final_report(self) -> MetricsReport:
+        Items are measured at the horizon even when scripted events ran past
+        it. Stores and schedulers call back into the simulation, so they are
+        released once the report exists: a finished run is then freed by
+        reference counting alone, fragment sets included, without waiting
+        for the cycle collector. A run is finished once.
+        """
+        self.now = self.config.horizon_s
         memo: dict[VersionKey, bool] = {}
         outcomes: dict[str, str] = {}
         for key in sorted(self.index.keys()):
@@ -844,7 +816,7 @@ class Simulation:
                 by_band[f"{lo:.2f}-{hi:.2f}"] = band_lost / len(members)
 
         produced = len(self.index)
-        return MetricsReport(
+        report = MetricsReport(
             seed=self.config.seed,
             horizon_s=self.config.horizon_s,
             items_produced=produced,
@@ -861,6 +833,12 @@ class Simulation:
             calibration_episodes=tuple(self.episodes),
             occupancy={t: tuple(points) for t, points in self.occupancy.items()},
         )
+        self.stores.clear()
+        self.schedulers.clear()
+        return report
+
+
+_KIND_RANK = {kind: rank for rank, kind in enumerate(Simulation._HANDLERS)}
 
 
 class _PeerTerminal:

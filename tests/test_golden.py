@@ -13,8 +13,10 @@ held replicas, terminal failures, restores and a conflict.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
+import re
 from pathlib import Path
 from typing import Any
 
@@ -109,11 +111,18 @@ GOLDEN: dict[str, tuple[str, str]] = {
 }
 
 
-def digests(name: str) -> tuple[str, str]:
+@functools.cache
+def traced_run(name: str) -> tuple[bytes, tuple[str, ...]]:
+    """Report bytes and trace lines of one scenario, run once per session."""
     trace: list[str] = []
     report = run(config_from_dict(SCENARIOS[name]), trace=trace.append)
+    return report.json_bytes(), tuple(trace)
+
+
+def digests(name: str) -> tuple[str, str]:
+    report, trace = traced_run(name)
     return (
-        hashlib.sha256(report.json_bytes()).hexdigest(),
+        hashlib.sha256(report).hexdigest(),
         hashlib.sha256("\n".join(trace).encode()).hexdigest(),
     )
 
@@ -121,6 +130,17 @@ def digests(name: str) -> tuple[str, str]:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_report_and_trace_match_golden_digests(name):
     assert digests(name) == GOLDEN[name]
+
+
+# the trace line grammar README documents: time, kind, fields, byte count
+TRACE_LINE = re.compile(r"^\d+\.\d{6} [A-Z_]+( [a-z]+=\S+)* bytes=\d+$")
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_trace_lines_follow_the_grammar(name):
+    _, trace = traced_run(name)
+    assert trace
+    assert [line for line in trace if not TRACE_LINE.match(line)] == []
 
 
 # Run sets over many seeds. Updates and chains make `propagate_priority`

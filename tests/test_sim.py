@@ -9,10 +9,11 @@ import pytest
 
 from oppbak import dispersal
 from oppbak.dispersal import fragment_wire_size
-from oppbak.model import DataItem, IntegrityError
+from oppbak.model import DataItem, IntegrityError, UsageError
 from oppbak.reliability import ReliabilityTable, composite_success
 from oppbak.scenario import ConfigError, config_from_dict
 from oppbak.sim import (
+    BatchReport,
     DataProducedEvent,
     EncounterEvent,
     InternetWindowEvent,
@@ -254,6 +255,15 @@ class TestScriptedRuns:
         assert report.items_measured == 0
         assert report.loss_ratio == 0.0
 
+    def test_finish_classifies_at_the_horizon(self):
+        sim = Simulation(quiet_config())  # horizon_s 3600
+        produce(sim, 1.0, item_spec(lifetime=4000.0))
+        meet(sim, 5000.0, "t01", "t02", 1000)  # after the horizon and the lifetime
+        report = sim.finish()
+        assert sim.now == 3600.0
+        assert report.items_measured == 1  # still alive at the horizon
+        assert report.outcomes == {"t00/d0000@1": "lost"}
+
     def test_event_behind_clock_rejected(self):
         sim = Simulation(quiet_config())
         produce(sim, 10.0, item_spec())
@@ -295,6 +305,29 @@ class TestPinningTrace:
         assert v1_key not in sim.stores["t01"]
         deletions = [line for line in trace if "DELETE terminal=t01" in line]
         assert len(deletions) == 1 and deletions[0].startswith("70.0")
+
+
+class TestTrace:
+    class Unprintable:
+        def __str__(self):
+            raise AssertionError("formatted")
+
+    def test_untraced_call_formats_nothing(self):
+        Simulation(quiet_config())._trace("SAVE", 10, item=self.Unprintable())
+        traced = Simulation(quiet_config(), trace=[].append)
+        with pytest.raises(AssertionError, match="formatted"):
+            traced._trace("SAVE", 10, item=self.Unprintable())
+
+    def test_line_rendering(self):
+        trace: list[str] = []
+        sim = Simulation(quiet_config(), trace=trace.append)
+        sim.now = 12.5
+        sim._trace("NOTICE", kind="owner", from_="t00", to="t01", item=("t00/d0000", 2))
+        sim._trace("ENCOUNTER", 640, a="t00", b="t01")
+        assert trace == [
+            "12.500000 NOTICE kind=owner from=t00 to=t01 item=t00/d0000@2 bytes=0",
+            "12.500000 ENCOUNTER a=t00 b=t01 bytes=640",
+        ]
 
 
 class TestSuccessMemo:
@@ -479,6 +512,13 @@ class TestCalibrationCheck:
         report = run(quiet_config())
         result = calibration_check(report)
         assert result.empty and result.episodes == 0 and result.bins == ()
+
+    @pytest.mark.parametrize("bins", [0, -1])
+    @pytest.mark.parametrize("episodes", [(), ((0.5, 1),)])
+    def test_bins_below_one_rejected(self, bins, episodes):
+        report = BatchReport(seed=1, replications=1, metrics={}, calibration_episodes=episodes)
+        with pytest.raises(UsageError):
+            calibration_check(report, bins=bins)
 
     def test_all_on_server_is_exact(self):
         sim = Simulation(quiet_config())

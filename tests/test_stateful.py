@@ -10,6 +10,7 @@ recomputation from scratch:
   and for the same reasons;
 * every store's byte count equals the recomputed sum;
 * the version index's peer holdings equal the union of store contents;
+* the channel fates are keyed by exactly the held replicas;
 * no pinned replica is ever deleted as useless;
 * the memoised `success_of` equals a fresh `composite_success`;
 * every backup queue, once its pending notices are applied, caches each
@@ -187,6 +188,15 @@ class SimulationMachine(RuleBasedStateMachine):
             expected = {t: frozenset(i) for t, i in held.pop(key, {}).items()}
             assert index.peer_holdings(key) == expected, key
         assert not held  # every held replica belongs to a registered version
+
+    @invariant()
+    def fates_match_held_replicas(self):
+        held = {
+            (terminal, *replica.version_key, replica.fragment.index)
+            for terminal, store in self.sim.stores.items()
+            for replica in store.replicas()
+        }
+        assert self.sim.fates.keys() == held
 
     @invariant()
     def memoised_success_is_fresh(self):
