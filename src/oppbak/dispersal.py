@@ -4,10 +4,11 @@ Systematic maximum-distance-separable coding over GF(256): the first k
 fragments are the payload chunks themselves, the remaining n - k are
 parity rows of a Vandermonde-derived matrix whose every k-row submatrix
 is invertible. k = 1 degenerates to plain n-way replication. A matrix
-times the k data shards costs one numpy gather per shard: that shard's
-bytes index the product-table rows of its column's coefficients, and the
-gathered rows are XORed into the output, so splitting and rebuilding large
-payloads stays cheap.
+times the k data shards packs up to eight output rows into one 64-bit
+word: byte i of a column's 256-entry word table is the product of row i's
+coefficient with the entry's index. Each shard byte then costs one table
+gather per eight rows, XORed into a word accumulator, so splitting and
+rebuilding large payloads stays cheap.
 
 `split` makes the k data fragments at once. The n - k parity fragments
 are computed together at the first request for any of them, since a
@@ -184,12 +185,33 @@ class FragmentSet:
         return self.n * (HEADER_SIZE + self.chunk)
 
 
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """(k, 256) uint64 word table of up to eight matrix rows: byte i of
+    entry [j, b] is rows[i, j] * b, and bytes past the last row are zero."""
+    table = np.zeros((rows.shape[1], 256, 8), dtype=np.uint8)
+    table[:, :, : len(rows)] = _MUL[rows].transpose(1, 2, 0)
+    return table.view(np.uint64)[:, :, 0]
+
+
 def _combine(matrix: np.ndarray, shards: np.ndarray | list[np.ndarray]) -> np.ndarray:
-    """Matrix-times-shards over GF(256): matrix (r x k) applied to k shards of c bytes."""
-    out = np.zeros((matrix.shape[0], len(shards[0])), dtype=np.uint8)
+    """Matrix-times-shards over GF(256): matrix (r x k) applied to k shards of c bytes.
+
+    Rows go in groups of eight, one word table per group. Each shard is
+    widened to intp indices once, into one reused buffer, and every group
+    gathers one word per shard byte and XORs it into its accumulator. Byte
+    i of group g's words is output row 8g + i; reading the accumulator back
+    as bytes undoes the packing on either byte order.
+    """
+    rows, width = matrix.shape[0], len(shards[0])
+    tables = [_packed(matrix[g : g + 8]) for g in range(0, rows, 8)]
+    acc = np.zeros((len(tables), width), dtype=np.uint64)
+    index = np.empty(width, dtype=np.intp)
     for j, shard in enumerate(shards):
-        out ^= np.take(_MUL[matrix[:, j]], shard, axis=1)
-    return out
+        index[:] = shard
+        for words, table in zip(acc, tables):
+            words ^= table[j].take(index)
+    packed = acc.view(np.uint8).reshape(len(tables), width, 8)
+    return packed.transpose(0, 2, 1).reshape(-1, width)[:rows]
 
 
 def split(

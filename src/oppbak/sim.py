@@ -897,14 +897,18 @@ def run_batch(config: ScenarioConfig, replications: int) -> BatchReport:
     """Run `replications` seeds (seed, seed+1, ...) and aggregate metrics."""
     if replications < 1:
         raise ConfigError(f"replications must be >= 1, got {replications}")
-    reports = []
+    # each replication's report is dropped once its scalars and episodes are kept
+    samples: dict[str, list[float]] = {name: [] for name in MetricsReport.scalar_metrics}
+    pooled: list[tuple[float, int]] = []
     for r in range(replications):
         replica_config = config_from_dict({**config.to_dict(), "seed": config.seed + r})
-        reports.append(run(replica_config))
+        report = run(replica_config)
+        for name, values in samples.items():
+            values.append(float(getattr(report, name)))
+        pooled.extend(report.calibration_episodes)
     metrics: dict[str, dict[str, float]] = {}
     t = _t_critical(replications - 1) if replications > 1 else 0.0
-    for name in MetricsReport.scalar_metrics:
-        values = [float(getattr(rep, name)) for rep in reports]
+    for name, values in samples.items():
         mean = sum(values) / replications
         var = sum((v - mean) ** 2 for v in values) / max(replications - 1, 1)
         half = t * math.sqrt(var / replications)
@@ -914,10 +918,9 @@ def run_batch(config: ScenarioConfig, replications: int) -> BatchReport:
             "ci_low": mean - half,
             "ci_high": mean + half,
         }
-    pooled = tuple(e for rep in reports for e in rep.calibration_episodes)
     return BatchReport(
         seed=config.seed,
         replications=replications,
         metrics=metrics,
-        calibration_episodes=pooled,
+        calibration_episodes=tuple(pooled),
     )

@@ -162,6 +162,12 @@ class TestReconstruct:
         with pytest.raises(FragmentMismatch):
             reconstruct([a[0], b[1]])
 
+    def test_more_than_eight_missing_rows_decoded(self, rng: random.Random):
+        payload = rng.randbytes(5_001)
+        fragments = split(payload, 30, 12).fragments
+        assert reconstruct(fragments[12:24]) == payload  # parity only: 12 rows decoded
+        assert reconstruct(fragments[:3] + fragments[21:]) == payload  # 9 rows decoded
+
     def test_all_fragments_work_too(self):
         payload = b"\x00\x01\x02" * 100
         fs = split(payload, 6, 3)
@@ -237,7 +243,7 @@ class TestCodecBytes:
 
     @pytest.mark.parametrize("width", [1, 2, 7, 4096])
     def test_combine_matches_scalar_reference(self, rng: random.Random, width):
-        for r, k in [(1, 1), (3, 5), (6, 10)]:
+        for r, k in [(1, 1), (3, 5), (6, 10), (8, 3), (9, 4), (17, 6)]:  # 8 rows per word
             rows = [[rng.randrange(256) for _ in range(k)] for _ in range(r)]
             rows[0][0], rows[-1][-1] = 0, 1
             shards = [[rng.randrange(256) for _ in range(width)] for _ in range(k)]

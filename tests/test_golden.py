@@ -23,7 +23,7 @@ from typing import Any
 import pytest
 
 from oppbak.scenario import config_from_dict
-from oppbak.sim import run
+from oppbak.sim import run, run_batch
 
 BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.json"
 
@@ -192,3 +192,14 @@ def seed_set_digests(name: str) -> tuple[str, str]:
 @pytest.mark.parametrize("name", sorted(SEED_SETS))
 def test_seed_sets_match_golden_digests(name):
     assert seed_set_digests(name) == SEED_SET_GOLDEN[name]
+
+
+# sha256 of `run_batch(...).json_bytes()` over the chain-batch seed set: the
+# aggregated means, deviations, intervals and pooled calibration episodes
+BATCH_GOLDEN = "36e84dfa3f75a846054472c997517260b0632a5905f51d4ae8e51253da27d119"
+
+
+def test_batch_report_matches_golden_digest():
+    doc, seeds = SEED_SETS["chain-batch"]
+    batch = run_batch(config_from_dict({**doc, "seed": seeds.start}), len(seeds))
+    assert hashlib.sha256(batch.json_bytes()).hexdigest() == BATCH_GOLDEN
