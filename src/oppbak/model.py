@@ -247,6 +247,10 @@ class VersionIndex:
     def transitive_deps(self, key: VersionKey) -> set[VersionKey]:
         return self.dependency_closure(self.get(key).temporal_deps)
 
+    def has_dependents(self, key: VersionKey) -> bool:
+        """True if some registered version depends on `key` directly."""
+        return key in self._rdeps
+
     def transitive_dependents(self, key: VersionKey) -> set[VersionKey]:
         """Every version that depends on `key`, directly or not."""
         return reachable(self._rdeps.get(key, ()), lambda k: self._rdeps.get(k, ()))

@@ -79,13 +79,16 @@ class Replica:
 
     @property
     def size_bytes(self) -> int:
-        f = self.fragment
-        if f.payload is not None:
-            return HEADER_SIZE + len(f.payload)
-        return HEADER_SIZE + chunk_size(f.original_size, f.k)
+        return _stored_size(self.fragment)
 
     def expired(self, now: float) -> bool:
         return self.meta.lifetime is not None and now >= self.meta.lifetime
+
+
+def _stored_size(f: Fragment) -> int:
+    if f.payload is not None:
+        return HEADER_SIZE + len(f.payload)
+    return HEADER_SIZE + chunk_size(f.original_size, f.k)
 
 
 PinCheck = Callable[[str, int], bool]
@@ -99,13 +102,15 @@ class ReplicaStore:
     retained; by default nothing is pinned. `on_delete(replica, reason)`
     fires for every removal so callers can mirror placement state.
 
-    Besides the replicas, the store keeps three indexes up to date on
-    every change: a heap of (lifetime, key) for expiry, the set of keys
-    no longer live, and the keys held per item id. A purge therefore
-    costs O(due + non-live) rather than a sort of the whole store, and a
-    notice touches only the named item's replicas. A replica's `state`
-    changes only through `notify`, and its frozen `meta` not at all,
-    while it is held.
+    Besides the replicas, the store keeps four indexes up to date on
+    every insertion and deletion: a heap of (lifetime, key) for expiry,
+    the set of keys no longer live, the keys held per item id, and per
+    owner the number of replicas held per item id. A purge therefore
+    costs O(due + non-live) rather than a sort of the whole store, and
+    nothing when nothing is due or non-live; a notice touches only the
+    named item's replicas; and an owner's items are listed without
+    visiting anyone else's. A replica's `state` changes only through
+    `notify`, and its frozen `meta` not at all, while it is held.
     """
 
     def __init__(
@@ -136,6 +141,7 @@ class ReplicaStore:
         self._expiry: list[tuple[float, ReplicaKey]] = []  # may hold stale entries
         self._not_live: set[ReplicaKey] = set()
         self._by_item: dict[str, set[ReplicaKey]] = {}
+        self._by_owner: dict[str, dict[str, int]] = {}  # owner -> {item id: replicas}
         self._used = 0
         self._used_by_owner: dict[str, int] = {}
         self._merge_counter = 0
@@ -152,7 +158,8 @@ class ReplicaStore:
     def free_bytes(self, now: float) -> int:
         """Advertised admission space: quota minus usage after a purge.
 
-        Costs one purge, so O(due + non-live) at the current time.
+        Costs one purge, so O(due + non-live) at the current time, and
+        nothing when nothing is due or non-live.
         """
         self.purge(now)
         return self.quota_bytes - self._used
@@ -173,6 +180,10 @@ class ReplicaStore:
         """Ids of the items held, sorted: a sort of the items, not of the store."""
         return sorted(self._by_item)
 
+    def item_ids_of(self, owner: str) -> list[str]:
+        """Ids of the items held for one owner, sorted: a sort of that owner's items only."""
+        return sorted(self._by_owner.get(owner, ()))
+
     def keys_of(self, item_id: str) -> frozenset[ReplicaKey]:
         """Keys of the replicas held for one item."""
         return frozenset(self._by_item.get(item_id, ()))
@@ -183,13 +194,20 @@ class ReplicaStore:
     def _delete(self, key: ReplicaKey, reason: str) -> None:
         replica = self._replicas.pop(key)
         self._not_live.discard(key)
-        same_item = self._by_item[key[1]]
+        owner, item_id = key[0], key[1]
+        same_item = self._by_item[item_id]
         same_item.discard(key)
         if not same_item:
-            del self._by_item[key[1]]
-        self._used -= replica.size_bytes
-        owner = replica.meta.owner
-        owner_used = self._used_by_owner[owner] - replica.size_bytes
+            del self._by_item[item_id]
+        owner_items = self._by_owner[owner]
+        remaining = owner_items.pop(item_id) - 1
+        if remaining:
+            owner_items[item_id] = remaining
+        elif not owner_items:
+            del self._by_owner[owner]
+        size = replica.size_bytes
+        self._used -= size
+        owner_used = self._used_by_owner[owner] - size
         if owner_used:
             self._used_by_owner[owner] = owner_used
         else:
@@ -204,10 +222,13 @@ class ReplicaStore:
             heapq.heappush(self._expiry, (replica.meta.lifetime, key))
         if replica.state is not ReplicaState.LIVE:
             self._not_live.add(key)
-        self._by_item.setdefault(key[1], set()).add(key)
-        self._used += replica.size_bytes
-        owner = replica.meta.owner
-        self._used_by_owner[owner] = self._used_by_owner.get(owner, 0) + replica.size_bytes
+        owner, item_id = key[0], key[1]
+        self._by_item.setdefault(item_id, set()).add(key)
+        owner_items = self._by_owner.setdefault(owner, {})
+        owner_items[item_id] = owner_items.get(item_id, 0) + 1
+        size = replica.size_bytes
+        self._used += size
+        self._used_by_owner[owner] = self._used_by_owner.get(owner, 0) + size
 
     # -- lifecycle ------------------------------------------------------
 
@@ -217,10 +238,13 @@ class ReplicaStore:
         Deletions happen in key order, and a replica both expired and
         useless goes as expired; pinned useless replicas stay. Only the
         replicas due to expire by `now` and those no longer live are
-        looked at, so the cost is O(due + non-live), not O(store).
+        looked at, so the cost is O(due + non-live), not O(store), and
+        nothing when nothing is due or non-live.
         """
-        due: set[ReplicaKey] = set()
         expiry = self._expiry
+        if not self._not_live and not (expiry and expiry[0][0] <= now):
+            return []
+        due: set[ReplicaKey] = set()
         while expiry and expiry[0][0] <= now:
             lifetime, key = heapq.heappop(expiry)
             replica = self._replicas.get(key)
@@ -246,21 +270,21 @@ class ReplicaStore:
         are rejected, as are fragments that would push the owner past its
         fairness cap or the store past its quota.
         """
-        replica = Replica(
-            fragment=fragment,
-            meta=meta,
-            received_at=now,
-            sources=frozenset({(meta.owner, fragment.item_id, fragment.version)}),
-        )
-        if replica.key in self._replicas:
+        owner = meta.owner
+        if (owner, fragment.item_id, fragment.version, fragment.index) in self._replicas:
             return False
-        size = replica.size_bytes
+        size = _stored_size(fragment)
         if self._used + size > self.quota_bytes:
             return False
         owner_cap = int(self.per_owner_cap * self.quota_bytes)
-        if self._used_by_owner.get(meta.owner, 0) + size > owner_cap:
+        if self._used_by_owner.get(owner, 0) + size > owner_cap:
             return False
-        self._insert(replica)
+        self._insert(Replica(
+            fragment=fragment,
+            meta=meta,
+            received_at=now,
+            sources=frozenset({(owner, fragment.item_id, fragment.version)}),
+        ))
         return True
 
     def notify(self, source: NoticeSource, item_id: str, version: int) -> int:

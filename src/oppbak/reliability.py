@@ -110,10 +110,13 @@ def composite_success(
     The item is only useful if every transitive dependency is restorable
     too, so the factors multiply. Each distinct version contributes once
     no matter how many dependency paths reach it, and a version already
-    on the server contributes 1.
+    on the server contributes 1. A version without dependencies reads
+    its own table alone.
     """
+    deps = item.temporal_deps
+    keys = sorted(index.dependency_closure(deps) | {item.key}) if deps else (item.key,)
     product = 1.0
-    for key in sorted(index.dependency_closure(item.temporal_deps) | {item.key}):
+    for key in keys:
         if index.is_on_server(key):
             continue
         table = tables.get(key)

@@ -264,9 +264,9 @@ class Scheduler:
                 # dropped mid-transfer: the fragment does not count
                 self.enqueue(item, self.success_of(key))
                 break
-            base = session_base.setdefault(key, self.tables[key])
-            m = session_count.get(key, 0) + 1
             old_table = self.tables[key]
+            base = session_base.setdefault(key, old_table)
+            m = session_count.get(key, 0) + 1
             self.tables[key] = base.add_batch_same_terminal(channel, m)
             proba = self.success_of(key)
             if not terminal.save(fragment, item, proba):

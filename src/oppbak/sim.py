@@ -36,7 +36,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import Any, Callable, Iterator, Optional, Union
 
@@ -57,7 +57,8 @@ from .model import (
 )
 from .peer import NoticeSource, ReplicaMetadata, ReplicaState, ReplicaStore
 from .reliability import ChannelEstimate, ReliabilityTable, composite_success
-from .scenario import ConfigError, ScenarioConfig, config_from_dict
+# not called here: benchmarks/spans.py counts calls under the name oppbak.sim.config_from_dict
+from .scenario import ConfigError, ScenarioConfig, config_from_dict  # noqa: F401
 from .scheduler import BackupQueue, LinkSession, Scheduler
 
 TraceSink = Callable[[str], None]
@@ -360,8 +361,9 @@ class _Tables(dict):
     closure. Replacing a table forgets the memo, as must a version
     reaching the server (`forget`). Forgetting covers the version's full
     reverse-dependency closure: a dependent can be memoised while its
-    dependency is not, so the walk cannot stop at the first gap. Each
-    entry forgotten is noticed to its owner's queue, which cached a deficit
+    dependency is not, so the walk cannot stop at the first gap; a
+    version nothing depends on forgets only its own entry. Each entry
+    forgotten is noticed to its owner's queue, which cached a deficit
     from it. With no reference to the simulation, the map adds no cycle.
     """
 
@@ -376,10 +378,13 @@ class _Tables(dict):
         self.forget(key)
 
     def forget(self, key: VersionKey) -> None:
-        if self.success:
-            for forgotten in (key, *self.index.transitive_dependents(key)):
-                if self.success.pop(forgotten, None) is not None:
-                    self.queues[self.index.get(forgotten).owner].notice(forgotten)
+        if not self.success:
+            return
+        index = self.index
+        keys = (key, *index.transitive_dependents(key)) if index.has_dependents(key) else (key,)
+        for forgotten in keys:
+            if self.success.pop(forgotten, None) is not None:
+                self.queues[index.get(forgotten).owner].notice(forgotten)
 
 
 class Simulation:
@@ -522,9 +527,13 @@ class Simulation:
         self._trace("PRODUCE", item.size_bytes, owner=owner, item=item.key)
 
     def _send_owner_notices(self, owner: str, peer: str) -> None:
-        """The owner tells a peer which of its held versions are superseded."""
+        """The owner tells a peer which of its held versions are superseded.
+
+        Only the items the peer holds for this owner are visited, in id
+        order, through the store's per-owner index.
+        """
         store = self.stores[peer]
-        for item_id in store.item_ids():
+        for item_id in store.item_ids_of(owner):
             held = [version for who, _, version, _ in store.keys_of(item_id)
                     if who == owner and (item_id, version) in self.index]
             if not held or max(held) >= (latest := self.index.latest_version(item_id)):
@@ -901,8 +910,7 @@ def run_batch(config: ScenarioConfig, replications: int) -> BatchReport:
     samples: dict[str, list[float]] = {name: [] for name in MetricsReport.scalar_metrics}
     pooled: list[tuple[float, int]] = []
     for r in range(replications):
-        replica_config = config_from_dict({**config.to_dict(), "seed": config.seed + r})
-        report = run(replica_config)
+        report = run(replace(config, seed=config.seed + r))
         for name, values in samples.items():
             values.append(float(getattr(report, name)))
         pooled.extend(report.calibration_episodes)

@@ -98,6 +98,16 @@ class TestNotify:
         assert store.get(("t00", "a", 1, 0)).state is ReplicaState.OUTDATED
         assert store.get(("t00", "a", 2, 0)).state is ReplicaState.LIVE
 
+    def test_owners_sharing_an_item_id(self):
+        store = ReplicaStore("p", 10_000)
+        store.accept(frag("a"), meta("t00"), now=0.0)
+        store.accept(frag("a"), meta("t01"), now=0.0)
+        store.accept(frag("b"), meta("t01"), now=0.0)
+        assert store.item_ids_of("t00") == ["a"]
+        assert store.item_ids_of("t01") == ["a", "b"]
+        assert store.item_ids_of("t02") == []
+        assert store.notify(NoticeSource.SERVER_NOTICE, "a", 1) == 2  # both owners' replicas
+
     def test_unheld_item_is_noop(self):
         store = ReplicaStore("p", 1000)
         assert store.notify(NoticeSource.SERVER_NOTICE, "ghost", 5) == 0
@@ -157,6 +167,33 @@ class TestPurge:
         assert store.purge(now=20.0) == []  # the first copy's expiry is stale
         assert store.purge(now=50.0) == [("t00", "a", 1, 0)]
         assert store.used_bytes == store.recomputed_used_bytes() == 0
+
+    def test_expiring_exactly_now_is_purged(self):
+        deletions = []
+        store = ReplicaStore("p", 10_000,
+                             on_delete=lambda replica, reason: deletions.append(reason))
+        store.accept(frag("a"), meta(lifetime=10.0), now=0.0)
+        assert store.purge(now=9.0) == []
+        assert store.purge(now=10.0) == [("t00", "a", 1, 0)]  # lifetime <= now
+        assert deletions == ["expired"]
+
+    def test_pinned_non_live_replica_is_checked_and_kept(self):
+        checks = []
+        pinned = {"a"}
+
+        def pin_check(item_id, version):
+            checks.append(item_id)
+            return item_id in pinned
+
+        store = ReplicaStore("p", 10_000, pin_check=pin_check)
+        store.accept(frag("a"), meta(), now=0.0)
+        store.notify(NoticeSource.OWNER_NOTICE, "a", 2)
+        for now in (1.0, 2.0):
+            assert store.purge(now=now) == []
+        assert checks == ["a", "a"]  # every purge looks at the non-live replica
+        assert ("t00", "a", 1, 0) in store
+        pinned.clear()
+        assert store.purge(now=3.0) == [("t00", "a", 1, 0)]
 
 
 class TestEvict:
@@ -457,4 +494,8 @@ class TestAccountingProperty:
             for owner in {r.meta.owner for r in store.replicas()}:
                 assert store.used_bytes_of(owner) == sum(
                     r.size_bytes for r in store.replicas() if r.meta.owner == owner
+                )
+            for owner in (f"t{i}" for i in range(5)):
+                assert store.item_ids_of(owner) == sorted(
+                    {r.fragment.item_id for r in store.replicas() if r.meta.owner == owner}
                 )

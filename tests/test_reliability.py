@@ -163,6 +163,16 @@ class TestCompositeSuccess:
         tables = self._tables_for(index, {item.key: 0.8})
         assert composite_success(item, tables, index) == pytest.approx(0.8)
 
+    def test_dependency_free_reads_its_own_table(self, index: VersionIndex):
+        item = make_item()
+        index.register(item)
+        table = new_table(3).add_fragment(0.7).add_batch_same_terminal(0.9, 2)
+        assert composite_success(item, {item.key: table}, index) == table.success
+        with pytest.raises(IntegrityError):
+            composite_success(item, {}, index)
+        index.mark_on_server(item.key)
+        assert composite_success(item, {}, index) == 1.0
+
     def test_single_dep_multiplies(self, index: VersionIndex):
         index.register(make_item("old"))
         item = make_item("new", deps=(("old", 1),))

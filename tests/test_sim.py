@@ -10,6 +10,7 @@ import pytest
 from oppbak import dispersal
 from oppbak.dispersal import fragment_wire_size
 from oppbak.model import DataItem, IntegrityError, UsageError
+from oppbak.peer import ReplicaStore
 from oppbak.reliability import ReliabilityTable, composite_success
 from oppbak.scenario import ConfigError, config_from_dict
 from oppbak.sim import (
@@ -353,6 +354,16 @@ class TestSuccessMemo:
         sim.tables[v1] = ReliabilityTable.fresh(2).add_batch_same_terminal(0.5, 2)
         assert sim.success_of(v3) == self.fresh(sim, v3) == pytest.approx(0.5 * 0.81)
 
+    def test_forgetting_a_version_without_dependents_notices_it_once(self):
+        sim, (v1, v2, v3) = self.chain()
+        for key in (v1, v2, v3):
+            sim.success_of(key)
+        noticed = []
+        sim.schedulers["t00"].queue.notice = noticed.append
+        sim.tables.forget(v3)
+        assert noticed == [v3]
+        assert v3 not in sim.tables.success and v2 in sim.tables.success
+
     def test_reaching_the_server_reaches_transitive_dependents(self):
         sim, (v1, v2, v3) = self.chain()
         assert sim.success_of(v3) == pytest.approx(0.9 ** 3)
@@ -361,6 +372,35 @@ class TestSuccessMemo:
                                         bandwidth=500.0))
         assert sim.index.is_on_server(v1) and not sim.index.is_on_server(v2)
         assert sim.success_of(v3) == self.fresh(sim, v3) == pytest.approx(0.81)
+
+
+def test_owner_notices_read_only_the_meeting_owners_items(monkeypatch):
+    """On the 100-terminal golden scenario, cut to an hour, every item an
+    owner notice reads is one the meeting owner holds on that peer."""
+    from test_golden import SCENARIOS
+
+    config = config_from_dict({**SCENARIOS["t100"], "horizon_s": 3_600.0})
+    meeting: list[str] = []  # owner whose notices are being sent
+    reads: list[bool] = []  # per keys_of call: the meeting owner holds the item
+    send, keys_of = Simulation._send_owner_notices, ReplicaStore.keys_of
+
+    def tracked_send(sim, owner, peer):
+        meeting.append(owner)
+        try:
+            send(sim, owner, peer)
+        finally:
+            meeting.pop()
+
+    def tracked_keys_of(store, item_id):
+        keys = keys_of(store, item_id)
+        if meeting:
+            reads.append(any(who == meeting[-1] for who, _, _, _ in keys))
+        return keys
+
+    monkeypatch.setattr(Simulation, "_send_owner_notices", tracked_send)
+    monkeypatch.setattr(ReplicaStore, "keys_of", tracked_keys_of)
+    run(config)
+    assert reads and all(reads), f"{reads.count(False)} of {len(reads)} reads found nothing"
 
 
 def busy_config(seed=7, **overrides):

@@ -9,6 +9,7 @@ recomputation from scratch:
 * `purge(now)` deletes exactly what a full scan selects, in key order
   and for the same reasons;
 * every store's byte count equals the recomputed sum;
+* every store's per-owner item index equals a full scan of its keys;
 * the version index's peer holdings equal the union of store contents;
 * the channel fates are keyed by exactly the held replicas;
 * no pinned replica is ever deleted as useless;
@@ -174,6 +175,14 @@ class SimulationMachine(RuleBasedStateMachine):
     def used_bytes_match_recount(self):
         for store in self.sim.stores.values():
             assert store.used_bytes == store.recomputed_used_bytes()
+
+    @invariant()
+    def owner_index_matches_full_scan(self):
+        for terminal, store in self.sim.stores.items():
+            keys = [replica.key for replica in store.replicas()]
+            for owner in PRODUCERS:
+                expected = sorted({item_id for who, item_id, _, _ in keys if who == owner})
+                assert store.item_ids_of(owner) == expected, (terminal, owner)
 
     @invariant()
     def holdings_match_store_contents(self):
