@@ -58,13 +58,14 @@ class ReplicaMetadata:
     stream: Optional[str] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Replica:
     """One held fragment, the owner's metadata for it, and its lifecycle state."""
 
     fragment: Fragment
     meta: ReplicaMetadata
     received_at: float
+    size_bytes: int  # the fragment's stored size, computed once at admission
     state: ReplicaState = ReplicaState.LIVE
     sources: frozenset[tuple[str, str, int]] = frozenset()
 
@@ -76,10 +77,6 @@ class Replica:
     @property
     def version_key(self) -> VersionKey:
         return (self.fragment.item_id, self.fragment.version)
-
-    @property
-    def size_bytes(self) -> int:
-        return _stored_size(self.fragment)
 
     def expired(self, now: float) -> bool:
         return self.meta.lifetime is not None and now >= self.meta.lifetime
@@ -283,6 +280,7 @@ class ReplicaStore:
             fragment=fragment,
             meta=meta,
             received_at=now,
+            size_bytes=size,
             sources=frozenset({(owner, fragment.item_id, fragment.version)}),
         ))
         return True
@@ -427,6 +425,7 @@ class ReplicaStore:
                 stream=streams.pop(),
             ),
             received_at=min(r.received_at for r in replicas),
+            size_bytes=_stored_size(merged_fragment),
             sources=frozenset().union(*(r.sources for r in replicas)),
         )
         for replica in replicas:
@@ -450,8 +449,8 @@ class ReplicaStore:
         return inventory
 
     def recomputed_used_bytes(self) -> int:
-        """Ground-truth sum for accounting checks."""
-        return sum(r.size_bytes for r in self._replicas.values())
+        """Ground-truth sum for accounting checks, from the fragments themselves."""
+        return sum(_stored_size(r.fragment) for r in self._replicas.values())
 
 
 def _minmax(value: float, population: list) -> float:

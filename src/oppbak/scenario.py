@@ -9,7 +9,7 @@ Every section may be omitted to take its defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from functools import cache
 from pathlib import Path
 from typing import Any, Optional, Union, get_args, get_type_hints
@@ -180,6 +180,6 @@ def load_scenario(path: Union[str, Path], seed_override: Optional[int] = None) -
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     config = config_from_dict(data)
-    if seed_override is not None:
-        config = config_from_dict({**config.to_dict(), "seed": seed_override})
-    return config
+    if seed_override is not None and not _type_ok(seed_override, int):
+        raise ConfigError(f"seed: expected int, got {type(seed_override).__name__}")
+    return config if seed_override is None else replace(config, seed=seed_override)

@@ -123,24 +123,19 @@ def _stream(seed: int, name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _payload_for(key: VersionKey, size: int, twister: np.random.MT19937) -> bytes:
-    seed = int.from_bytes(hashlib.sha256(f"payload:{key[0]}@{key[1]}".encode()).digest()[:8], "big")
-    return _randbytes(seed, size, twister)
+def _payload_for(key: VersionKey, size: int, generator: np.random.PCG64) -> bytes:
+    """The `size` (>= 1) payload bytes of a version, a function of its key alone.
 
-
-def _randbytes(seed: int, size: int, twister: np.random.MT19937) -> bytes:
-    """`random.Random(seed).randbytes(size)` (size >= 1), drawn by `twister`.
-
-    Both are the same Mersenne Twister, so `twister` takes the seeded state
-    (all of it: earlier draws leave no trace) and emits the same 32-bit
-    words, written little-endian with the last partial word shifted right to
-    keep its high bits, as CPython's `getrandbits` does.
+    `generator` is given a fresh state from sha256("payload:{id}@{version}"):
+    the digest's first 16 bytes are the PCG64 state and its last 16, OR 1,
+    the increment, so earlier draws leave no trace. The 64-bit words are
+    written little-endian on any host.
     """
-    state = random.Random(seed).getstate()[1]
-    # a tuple key: numpy copies it word by word, far faster than from an array
-    twister.state = {"bit_generator": "MT19937", "state": {"key": state[:624], "pos": state[624]}}
-    words = twister.random_raw(-(-size // 4)).astype("<u4")
-    words[-1] >>= 32 * len(words) - 8 * size
+    digest = hashlib.sha256(f"payload:{key[0]}@{key[1]}".encode()).digest()
+    state, inc = int.from_bytes(digest[:16], "big"), int.from_bytes(digest[16:], "big") | 1
+    generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0}
+    words = generator.random_raw(-(-size // 8)).astype("<u8", copy=False)
     return words.view(np.uint8)[:size].tobytes()
 
 
@@ -444,10 +439,10 @@ class Simulation:
         }
 
     @cached_property
-    def _twister(self) -> np.random.MT19937:
+    def _generator(self) -> np.random.PCG64:
         """Payload generator, built once per run (numpy's seeding is slow) and
-        given a fresh state for each payload by `_randbytes`."""
-        return np.random.MT19937(0)
+        given a fresh state for each payload by `_payload_for`."""
+        return np.random.PCG64(0)
 
     # -- shared helpers ------------------------------------------------
 
@@ -495,8 +490,16 @@ class Simulation:
             value = memo[key] = composite_success(self.index.get(key), self.tables, self.index)
         return value
 
-    def _fragment_for(self, key: VersionKey, i: int):
-        return self.fragment_sets[key].fragment(i)
+    def _fragment_for(self, key: VersionKey, i: int) -> Fragment:
+        """Fragment i of a version; its payload and `FragmentSet` are made at the first request."""
+        fragments = self.fragment_sets.get(key)
+        if fragments is None:
+            item = self.index.get(key)
+            payload = _payload_for(key, item.size_bytes, self._generator)
+            fragments = self.fragment_sets[key] = split(
+                payload, item.n, item.k, item_id=item.id, version=item.version
+            )
+        return fragments.fragment(i)
 
     # -- event handlers --------------------------------------------------
 
@@ -510,11 +513,6 @@ class Simulation:
             self.owned_ids[owner].append(item.id)
         raised = propagate_priority(self.index, item)
         self.tables[item.key] = ReliabilityTable.fresh(item.k)
-        if self.config.payload_mode:
-            payload = _payload_for(item.key, item.size_bytes, self._twister)
-            self.fragment_sets[item.key] = split(
-                payload, item.n, item.k, item_id=item.id, version=item.version
-            )
         scheduler = self.schedulers[owner]
         scheduler.enqueue(item, self.success_of(item.key))
         # a raised dependency may fall short of its new target again
@@ -698,6 +696,7 @@ class Simulation:
             own_ok = len(available) >= item.k
             if own_ok and self.config.payload_mode:
                 rebuilt = reconstruct(list(available.values())[: item.k])
+                # every fragment found came from `_fragment_for`, so the version's set exists
                 data = self.fragment_sets[key].data  # systematic: the payload's chunks
                 if rebuilt != b"".join(f.payload for f in data)[: item.size_bytes]:
                     raise IntegrityError(f"reconstruction of {key} does not match the original")

@@ -95,6 +95,13 @@ class TestLoadScenario:
         path.write_text(json.dumps({"seed": 4}))
         assert load_scenario(path, seed_override=77).seed == 77
 
+    @pytest.mark.parametrize("seed", ["77", 77.0, True])
+    def test_seed_override_must_be_an_int(self, tmp_path, seed):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"seed": 4}))
+        with pytest.raises(ConfigError, match="seed: expected int"):
+            load_scenario(path, seed_override=seed)
+
     def test_missing_file_names_path(self, tmp_path):
         missing = tmp_path / "nope.json"
         with pytest.raises(ConfigError, match="nope.json"):

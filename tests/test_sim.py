@@ -1,7 +1,7 @@
 import dataclasses
 import gc
+import hashlib
 import math
-import random
 import weakref
 
 import numpy as np
@@ -21,7 +21,7 @@ from oppbak.sim import (
     MetricsReport,
     Simulation,
     TerminalFailureEvent,
-    _randbytes,
+    _payload_for,
     _t_critical,
     calibration_check,
     generate_events,
@@ -429,11 +429,65 @@ def busy_config(seed=7, **overrides):
     return config_from_dict(base)
 
 
-def test_randbytes_matches_cpython():
-    twister = np.random.MT19937(0)  # shared: each call must start from its own seed alone
-    for seed in (0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1):
-        for size in (1, 3, 4, 5, 4_000, 4_001, 999_999, 1_000_003):
-            assert _randbytes(seed, size, twister) == random.Random(seed).randbytes(size)
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_reference(key, size):
+    """The payload by the PCG64 definition (128-bit LCG step, then XSL-RR output)."""
+    digest = hashlib.sha256(f"payload:{key[0]}@{key[1]}".encode()).digest()
+    state, inc = int.from_bytes(digest[:16], "big"), int.from_bytes(digest[16:], "big") | 1
+    out = bytearray()
+    while len(out) < size:
+        state = (state * _PCG64_MULTIPLIER + inc) % 2**128
+        word, rot = (state >> 64) ^ (state % 2**64), state >> 122
+        out += (((word >> rot) | (word << (64 - rot))) % 2**64).to_bytes(8, "little")
+    return bytes(out[:size])
+
+
+class TestPayloadBytes:
+    KEY = ("t00/d0000", 1)
+
+    def test_bytes_depend_on_the_key_alone(self):
+        generator = np.random.PCG64(0)
+        first = _payload_for(self.KEY, 4096, generator)
+        _payload_for(("t01/d0003", 2), 777, generator)  # a draw in between leaves no trace
+        assert _payload_for(self.KEY, 4096, generator) == first
+        assert _payload_for(self.KEY, 4096, np.random.PCG64(5)) == first
+        assert _payload_for(("t00/d0000", 2), 4096, generator) != first
+        assert _payload_for(("t00/d0001", 1), 4096, generator) != first
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 1_000_003])
+    def test_each_size_is_a_prefix_of_the_keyed_stream(self, size):
+        generator = np.random.PCG64(0)
+        payload = _payload_for(self.KEY, size, generator)
+        assert len(payload) == size
+        assert payload == _payload_for(self.KEY, 1_000_008, generator)[:size]
+        assert payload[:64] == pcg64_reference(self.KEY, min(size, 64))
+
+    # pins the bytes across numpy versions and host byte orders
+    @pytest.mark.parametrize("key, size, digest", [
+        (("t00/d0000", 1), 4096,
+         "ed70a5b685d1fc181415e3f131359f612faed990b12cd853f859a55cc7839401"),
+        (("t03/d0042", 7), 1_000_003,
+         "97498858df840ef489aff358d2ce3d386f786ad3e809b8860410ff7d01fa907f"),
+    ])
+    def test_golden_payload_digests(self, key, size, digest):
+        assert hashlib.sha256(_payload_for(key, size, np.random.PCG64(0))).hexdigest() == digest
+
+    def test_no_fragment_set_for_a_version_that_sends_nothing(self, monkeypatch):
+        split_ids = []
+        monkeypatch.setattr("oppbak.sim.split", lambda *args, **kwargs: (
+            split_ids.append(kwargs["item_id"]) or dispersal.split(*args, **kwargs)))
+        sim = Simulation(quiet_config())
+        produce(sim, 1.0, item_spec(size=1000, n=4, k=2))
+        meet(sim, 10.0, "t00", "t01", 2 * fragment_wire_size(1000, 2))
+        produce(sim, 20.0, item_spec("t00/d0001", size=1000, n=4, k=2))
+        fail_and_restore(sim, 100.0, "t00")
+        assert sim.finish().outcomes == {
+            "t00/d0000@1": "recoverable_from_peers", "t00/d0001@1": "lost"
+        }
+        assert split_ids == ["t00/d0000"]
+        assert list(sim.fragment_sets) == [("t00/d0000", 1)]
 
 
 class TestGeneratedRuns:

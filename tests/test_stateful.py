@@ -177,6 +177,11 @@ class SimulationMachine(RuleBasedStateMachine):
             assert store.used_bytes == store.recomputed_used_bytes()
 
     @invariant()
+    def used_bytes_match_stored_sizes(self):
+        for store in self.sim.stores.values():
+            assert store.used_bytes == sum(r.size_bytes for r in store.replicas())
+
+    @invariant()
     def owner_index_matches_full_scan(self):
         for terminal, store in self.sim.stores.items():
             keys = [replica.key for replica in store.replicas()]
