@@ -350,14 +350,15 @@ class ReplicaStore:
             r for r in self.replicas()
             if r.state is ReplicaState.LIVE and not self._pinned(r)
         ]
-        ages = [now - r.received_at for r in candidates]
-        bulks = [r.size_bytes + b for r, b in zip(candidates, self._dependency_bulk(candidates))]
+        ages = _minmax([now - r.received_at for r in candidates])
+        dependent_bytes = self._dependency_bulk(candidates)
+        bulks = _minmax([r.size_bytes + b for r, b in zip(candidates, dependent_bytes)])
         scored = []
         for replica, age, bulk in zip(candidates, ages, bulks):
             score = (
-                self.w_age * _minmax(age, ages)
+                self.w_age * age
                 + self.w_res * max(0.0, replica.meta.declared_success - replica.meta.priority)
-                + self.w_size * _minmax(bulk, bulks)
+                + self.w_size * bulk
             )
             scored.append((-score, replica.meta.owner, replica.key))
         for _, _, key in sorted(scored):
@@ -453,9 +454,8 @@ class ReplicaStore:
         return sum(_stored_size(r.fragment) for r in self._replicas.values())
 
 
-def _minmax(value: float, population: list) -> float:
-    lo, hi = min(population), max(population)
-    if hi == lo:
-        return 0.0
-    return (value - lo) / (hi - lo)
+def _minmax(values: list) -> list[float]:
+    """Each value scaled to [0, 1] by the list's min and max; all 0.0 if they are equal."""
+    lo, hi = min(values, default=0), max(values, default=0)
+    return [0.0 if hi == lo else (v - lo) / (hi - lo) for v in values]
 

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import json
 import math
 import random
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
-from typing import Any, Callable, Iterator, Optional, Union
+from operator import attrgetter
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
@@ -251,41 +251,50 @@ def _terminal_names(count: int) -> list[str]:
     return [f"t{i:0{width}d}" for i in range(count)]
 
 
-def _arrivals(rng: random.Random, rate_per_hour: float, horizon: float) -> Iterator[float]:
-    """Arrival times of a Poisson process before `horizon`, each gap drawn when needed.
-
-    Draws nothing at a rate of zero; otherwise the gap that passes the
-    horizon is the last draw.
-    """
-    if rate_per_hour <= 0:
-        return
-    t = rng.expovariate(rate_per_hour / 3600.0)
-    while t < horizon:
-        yield t
-        t += rng.expovariate(rate_per_hour / 3600.0)
-
-
 def generate_events(config: ScenarioConfig) -> list[Event]:
-    """Pre-draw the full event timeline for a config. Deterministic."""
+    """Pre-draw the full event timeline for a config. Deterministic.
+
+    Each kind draws from its own stream, `_stream(seed, kind)`; the golden
+    digests pin every draw. A rate of zero draws nothing; otherwise the gap
+    that passes the horizon is drawn too, and the next terminal goes on from
+    the shared stream. Gaps and durations are `random.expovariate`'s
+    ``-log(1 - random()) / rate``, uniforms `random.uniform`'s formula.
+
+    - workload: per producer, gaps; after each a log-uniform size, a priority,
+      `random()` for an update, then for a chain (each only while possible),
+      then `randrange` for the slot or the dependency.
+    - mobility: gaps; after each the pair, as `random.sample(names, 2)` draws
+      it, then a duration.
+    - infrastructure: per terminal, gaps, each followed by a duration.
+    - failures: one gap per targeted terminal, a failure if it is in time.
+
+    Sorted by time alone: kinds are appended in handler order, the sort is stable.
+    """
     names = _terminal_names(config.terminals.count)
     producers = names[: config.terminals.producers]
     horizon = config.horizon_s
+    log = math.log
     events: list[Event] = []
+    append = events.append
 
     w = config.workload
     rng = _stream(config.seed, "workload")
-    for owner in producers:
+    rand, randrange = rng.random, rng.randrange
+    rate = w.items_per_hour / 3600.0
+    log_lo, log_span = log(w.size_min_bytes), log(w.size_max_bytes) - log(w.size_min_bytes)
+    priority_span = w.priority_max - w.priority_min
+    for owner in producers if rate > 0 else ():
         counter = 0
         history: list[tuple[str, int]] = []  # (id, latest version) in creation order
-        for t in _arrivals(rng, w.items_per_hour, horizon):
-            size = int(round(math.exp(rng.uniform(math.log(w.size_min_bytes),
-                                                  math.log(w.size_max_bytes)))))
+        t = -log(1.0 - rand()) / rate
+        while t < horizon:
+            size = int(round(math.exp(log_lo + log_span * rand())))
             size = min(max(size, w.size_min_bytes), w.size_max_bytes)
-            priority = rng.uniform(w.priority_min, w.priority_max)
-            update = bool(history) and rng.random() < w.update_fraction
-            chain = (not update) and bool(history) and rng.random() < w.chain_fraction
+            priority = w.priority_min + priority_span * rand()
+            update = bool(history) and rand() < w.update_fraction
+            chain = (not update) and bool(history) and rand() < w.chain_fraction
             if update:
-                slot = rng.randrange(len(history))
+                slot = randrange(len(history))
                 item_id, prev_version = history[slot]
                 version = prev_version + 1
                 deps: tuple[VersionKey, ...] = ((item_id, prev_version),)
@@ -298,10 +307,10 @@ def generate_events(config: ScenarioConfig) -> list[Event]:
                 production = Production.CREATE_ONLY
                 deps = ()
                 if chain:
-                    dep_id, dep_version = history[rng.randrange(len(history))]
+                    dep_id, dep_version = history[randrange(len(history))]
                     deps = ((dep_id, dep_version),)
                 history.append((item_id, version))
-            events.append(
+            append(
                 DataProducedEvent(
                     time=t,
                     owner=owner,
@@ -319,29 +328,52 @@ def generate_events(config: ScenarioConfig) -> list[Event]:
                     ),
                 )
             )
+            t -= log(1.0 - rand()) / rate
 
     m = config.mobility
     rng = _stream(config.seed, "mobility")
-    for t in _arrivals(rng, m.encounter_rate_per_hour, horizon):
-        a, b = sorted(rng.sample(names, 2))
-        duration = rng.expovariate(1.0 / m.contact_duration_mean_s)
-        events.append(EncounterEvent(t, a, b, duration, m.bandwidth_bytes_per_s))
+    rand, randrange = rng.random, rng.randrange
+    rate = m.encounter_rate_per_hour / 3600.0
+    duration_rate = 1.0 / m.contact_duration_mean_s
+    count, last = len(names), len(names) - 1
+    t = -log(1.0 - rand()) / rate if rate > 0 else horizon
+    while t < horizon:
+        # random.sample(names, 2) index for index, both paths pinned by the golden
+        # digests: up to 21 names a pool (first pick swapped for the last), else redraws
+        a = randrange(count)
+        if count <= 21:
+            b = randrange(last)
+            b = last if b == a else b
+        else:
+            b = randrange(count)
+            while b == a:
+                b = randrange(count)
+        if b < a:  # zero-padded names: index order is name order
+            a, b = b, a
+        duration = -log(1.0 - rand()) / duration_rate
+        append(EncounterEvent(t, names[a], names[b], duration, m.bandwidth_bytes_per_s))
+        t -= log(1.0 - rand()) / rate
 
     i = config.infrastructure
-    rng = _stream(config.seed, "infrastructure")
-    for terminal in names:
-        for t in _arrivals(rng, i.window_rate_per_hour, horizon):
-            duration = rng.expovariate(1.0 / i.window_duration_mean_s)
-            events.append(InternetWindowEvent(t, terminal, duration, i.bandwidth_bytes_per_s))
+    rand = _stream(config.seed, "infrastructure").random
+    rate = i.window_rate_per_hour / 3600.0
+    duration_rate = 1.0 / i.window_duration_mean_s
+    for terminal in names if rate > 0 else ():
+        t = -log(1.0 - rand()) / rate
+        while t < horizon:
+            duration = -log(1.0 - rand()) / duration_rate
+            append(InternetWindowEvent(t, terminal, duration, i.bandwidth_bytes_per_s))
+            t -= log(1.0 - rand()) / rate
 
     f = config.failures
-    rng = _stream(config.seed, "failures")
-    for terminal in producers if f.targets == "producers" else names:
-        # a terminal fails at most once: at its process's first arrival
-        for t in itertools.islice(_arrivals(rng, f.rate_per_hour, horizon), 1):
-            events.append(TerminalFailureEvent(time=t, terminal=terminal))
+    rand = _stream(config.seed, "failures").random
+    rate = f.rate_per_hour / 3600.0
+    for terminal in (producers if f.targets == "producers" else names) if rate > 0 else ():
+        t = -log(1.0 - rand()) / rate  # a terminal fails at most once
+        if t < horizon:
+            append(TerminalFailureEvent(time=t, terminal=terminal))
 
-    events.sort(key=lambda e: (e.time, _KIND_RANK[type(e)]))
+    events.sort(key=attrgetter("time"))
     return events
 
 
@@ -774,12 +806,20 @@ class Simulation:
         return handler(self, event) or ()
 
     def run(self) -> MetricsReport:
-        """Process the generated timeline, then `finish` the run."""
-        # the timeline is sorted, so in (time, seq) order it is a heap already
-        heap = [(event.time, seq, event) for seq, event in enumerate(generate_events(self.config))]
-        seq = len(heap)
-        while heap:
-            _, _, event = heapq.heappop(heap)
+        """Process the generated timeline, then `finish` the run.
+
+        The sorted timeline is walked in order, each event dropped as it goes.
+        Only follow-ups (restore attempts) wait in a heap; one runs before the
+        next timeline event only if it is strictly earlier.
+        """
+        timeline = generate_events(self.config)[::-1]  # pop() from the end: time order
+        heap: list[tuple[float, int, Event]] = []
+        seq = 0
+        while timeline or heap:
+            if heap and (not timeline or heap[0][0] < timeline[-1].time):
+                event = heapq.heappop(heap)[2]
+            else:
+                event = timeline.pop()
             for follow_up in self.process(event):
                 heapq.heappush(heap, (follow_up.time, seq, follow_up))
                 seq += 1
@@ -844,9 +884,6 @@ class Simulation:
         self.stores.clear()
         self.schedulers.clear()
         return report
-
-
-_KIND_RANK = {kind: rank for rank, kind in enumerate(Simulation._HANDLERS)}
 
 
 class _PeerTerminal:

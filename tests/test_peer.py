@@ -244,6 +244,18 @@ class TestEvict:
         )
         assert diamond._dependency_bulk([diamond.get(("t00", "base", 1, 0))]) == [900]
 
+    def test_dependency_bulk_stays_within_owner(self):
+        store = ReplicaStore("p", 10**6)
+        for owner, size in (("t00", 300), ("t01", 500)):  # same item ids, own deps
+            store.accept(frag("log", wire_size=size), meta(owner=owner), now=0.0)
+            store.accept(
+                frag("view", wire_size=size),
+                meta(owner=owner, temporal_deps=(("log", 1),)),
+                now=0.0,
+            )
+        logs = [store.get((owner, "log", 1, 0)) for owner in ("t00", "t01")]
+        assert store._dependency_bulk(logs) == [300, 500]
+
     def test_rank_matches_formula_oracle(self, rng: random.Random):
         now = 1000.0
         weights = dict(w_age=0.7, w_res=1.3, w_size=0.4)

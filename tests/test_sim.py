@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import math
 import weakref
 
@@ -9,7 +10,8 @@ import pytest
 
 from oppbak import dispersal
 from oppbak.dispersal import fragment_wire_size
-from oppbak.model import DataItem, IntegrityError, UsageError
+from oppbak import sim as sim_module
+from oppbak.model import DataItem, IntegrityError, Production, UsageError
 from oppbak.peer import ReplicaStore
 from oppbak.reliability import ReliabilityTable, composite_success
 from oppbak.scenario import ConfigError, config_from_dict
@@ -19,9 +21,12 @@ from oppbak.sim import (
     EncounterEvent,
     InternetWindowEvent,
     MetricsReport,
+    RestoreAttemptEvent,
     Simulation,
     TerminalFailureEvent,
     _payload_for,
+    _stream,
+    _terminal_names,
     _t_critical,
     calibration_check,
     generate_events,
@@ -554,6 +559,160 @@ class TestGeneratedRuns:
         assert [type(e) for e in events] != [type(e) for e in different] or (
             [e.time for e in events] != [e.time for e in different]
         )
+
+
+def reference_arrivals(rng, rate_per_hour, horizon):
+    if rate_per_hour <= 0:
+        return
+    t = rng.expovariate(rate_per_hour / 3600.0)
+    while t < horizon:
+        yield t
+        t += rng.expovariate(rate_per_hour / 3600.0)
+
+
+def reference_events(config):
+    """The timeline generator as first written, on the stdlib distributions."""
+    names = _terminal_names(config.terminals.count)
+    producers = names[: config.terminals.producers]
+    horizon = config.horizon_s
+    events = []
+    w = config.workload
+    rng = _stream(config.seed, "workload")
+    for owner in producers:
+        counter = 0
+        history = []
+        for t in reference_arrivals(rng, w.items_per_hour, horizon):
+            size = int(round(math.exp(rng.uniform(math.log(w.size_min_bytes),
+                                                  math.log(w.size_max_bytes)))))
+            size = min(max(size, w.size_min_bytes), w.size_max_bytes)
+            priority = rng.uniform(w.priority_min, w.priority_max)
+            update = bool(history) and rng.random() < w.update_fraction
+            chain = (not update) and bool(history) and rng.random() < w.chain_fraction
+            if update:
+                slot = rng.randrange(len(history))
+                item_id, prev_version = history[slot]
+                version = prev_version + 1
+                deps = ((item_id, prev_version),)
+                history[slot] = (item_id, version)
+                production = Production.READ_WRITE
+            else:
+                item_id = f"{owner}/d{counter:04d}"
+                counter += 1
+                version = 1
+                production = Production.CREATE_ONLY
+                deps = ()
+                if chain:
+                    deps = (history[rng.randrange(len(history))],)
+                history.append((item_id, version))
+            events.append(DataProducedEvent(time=t, owner=owner, item=DataItem(
+                id=item_id, owner=owner, size_bytes=size, priority=priority, n=w.n, k=w.k,
+                version=version, production=production,
+                lifetime=(t + w.lifetime_s) if w.lifetime_s else None, temporal_deps=deps,
+            )))
+    m = config.mobility
+    rng = _stream(config.seed, "mobility")
+    for t in reference_arrivals(rng, m.encounter_rate_per_hour, horizon):
+        a, b = sorted(rng.sample(names, 2))
+        duration = rng.expovariate(1.0 / m.contact_duration_mean_s)
+        events.append(EncounterEvent(t, a, b, duration, m.bandwidth_bytes_per_s))
+    i = config.infrastructure
+    rng = _stream(config.seed, "infrastructure")
+    for terminal in names:
+        for t in reference_arrivals(rng, i.window_rate_per_hour, horizon):
+            duration = rng.expovariate(1.0 / i.window_duration_mean_s)
+            events.append(InternetWindowEvent(t, terminal, duration, i.bandwidth_bytes_per_s))
+    f = config.failures
+    rng = _stream(config.seed, "failures")
+    for terminal in producers if f.targets == "producers" else names:
+        for t in itertools.islice(reference_arrivals(rng, f.rate_per_hour, horizon), 1):
+            events.append(TerminalFailureEvent(time=t, terminal=terminal))
+    rank = {DataProducedEvent: 0, EncounterEvent: 1, InternetWindowEvent: 2,
+            TerminalFailureEvent: 3}
+    events.sort(key=lambda e: (e.time, rank[type(e)]))
+    return events
+
+
+class TestTimelineDraws:
+    """`generate_events` draws what the stdlib distributions drew, in order."""
+
+    @staticmethod
+    def config(count, seed, **overrides):
+        sections = {
+            "terminals": {"count": count, "producers": min(4, count)},
+            "mobility": {"encounter_rate_per_hour": 600.0},
+            "failures": {"rate_per_hour": 1.0, "targets": "all"},
+        }
+        for section, values in overrides.items():
+            sections[section] = {**sections.get(section, {}), **values}
+        return busy_config(seed=seed, **sections)
+
+    @pytest.mark.parametrize("count", [2, 3, 21, 22, 100])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_stdlib_draws(self, count, seed):
+        config = self.config(count, seed)
+        events = generate_events(config)
+        assert events == reference_events(config)
+        assert any(isinstance(e, TerminalFailureEvent) for e in events)
+
+    @pytest.mark.parametrize("section, key", [
+        ("workload", "items_per_hour"),
+        ("mobility", "encounter_rate_per_hour"),
+        ("infrastructure", "window_rate_per_hour"),
+        ("failures", "rate_per_hour"),
+    ])
+    @pytest.mark.parametrize("count", [3, 22])
+    def test_a_zero_rate_draws_nothing(self, section, key, count):
+        config = self.config(count, 5, **{section: {key: 0.0}})
+        assert generate_events(config) == reference_events(config)
+
+    @pytest.mark.parametrize("lifetime", [None, 900.0])
+    @pytest.mark.parametrize("targets", ["producers", "all"])
+    def test_lifetimes_and_failure_targets(self, lifetime, targets):
+        config = self.config(
+            22, 9, workload={"lifetime_s": lifetime}, failures={"targets": targets}
+        )
+        events = generate_events(config)
+        assert events == reference_events(config)
+        failed = {e.terminal for e in events if isinstance(e, TerminalFailureEvent)}
+        assert failed and (targets == "all" or failed <= {"t00", "t01", "t02", "t03"})
+
+
+def test_run_walks_the_timeline_then_due_follow_ups(monkeypatch):
+    """Equal times: the timeline first, then follow-ups in the order made."""
+    config = quiet_config(
+        restore_delay_s=0.0, terminals={"count": 4, "producers": 2}
+    )
+    timeline = [
+        DataProducedEvent(time=1.0, owner="t00", item=item_spec()),
+        DataProducedEvent(time=2.0, owner="t01",
+                          item=item_spec(item_id="t01/d0000", owner="t01")),
+        TerminalFailureEvent(time=10.0, terminal="t00"),
+        TerminalFailureEvent(time=10.0, terminal="t01"),
+        InternetWindowEvent(time=10.0, terminal="t02", duration=1.0, bandwidth=10**6),
+        EncounterEvent(time=11.0, a="t02", b="t03", duration=1.0, bandwidth=10**6),
+    ]
+    monkeypatch.setattr(sim_module, "generate_events", lambda c: list(timeline))
+    processed = []
+    process = Simulation.process
+
+    def counted(self, event):
+        processed.append(event)
+        return process(self, event)
+
+    monkeypatch.setattr(Simulation, "process", counted)
+    trace = []
+    Simulation(config, trace=trace.append).run()
+    kinds = [line.split()[1:3] for line in trace if line.split()[1] != "PRODUCE"]
+    assert kinds == [
+        ["FAIL", "terminal=t00"],
+        ["FAIL", "terminal=t01"],
+        ["WINDOW", "terminal=t02"],
+        ["RESTORE_FAIL", "owner=t00"],
+        ["RESTORE_FAIL", "owner=t01"],
+        ["ENCOUNTER", "a=t02"],
+    ]
+    assert len(processed) == len(timeline) + 2
+    assert processed[5:7] == [RestoreAttemptEvent(10.0, "t00"), RestoreAttemptEvent(10.0, "t01")]
 
 
 class TestBatch:
