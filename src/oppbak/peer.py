@@ -60,7 +60,11 @@ class ReplicaMetadata:
 
 @dataclass(slots=True)
 class Replica:
-    """One held fragment, the owner's metadata for it, and its lifecycle state."""
+    """One held fragment, the owner's metadata for it, and its lifecycle state.
+
+    `fate`: can the owner reach this holder to restore it? A simulator draws
+    it at the save; None (never drawn) reads as unreachable.
+    """
 
     fragment: Fragment
     meta: ReplicaMetadata
@@ -68,15 +72,12 @@ class Replica:
     size_bytes: int  # the fragment's stored size, computed once at admission
     state: ReplicaState = ReplicaState.LIVE
     sources: frozenset[tuple[str, str, int]] = frozenset()
+    fate: Optional[bool] = None
 
     @property
     def key(self) -> ReplicaKey:
         f = self.fragment
         return (self.meta.owner, f.item_id, f.version, f.index)
-
-    @property
-    def version_key(self) -> VersionKey:
-        return (self.fragment.item_id, self.fragment.version)
 
     def expired(self, now: float) -> bool:
         return self.meta.lifetime is not None and now >= self.meta.lifetime
@@ -320,15 +321,15 @@ class ReplicaStore:
         edges: dict[tuple[str, VersionKey], set[tuple[str, VersionKey]]] = {}
         sizes: dict[tuple[str, VersionKey], int] = {}
         for replica in self._replicas.values():
-            node = (replica.meta.owner, replica.version_key)
+            node = (replica.meta.owner, replica.fragment.key)
             sizes[node] = sizes.get(node, 0) + replica.size_bytes
             for dep in replica.meta.temporal_deps:
                 edges.setdefault((node[0], dep), set()).add(node)
         bulk: dict[tuple[str, VersionKey], int] = {}
-        for node in {(r.meta.owner, r.version_key) for r in targets}:
+        for node in {(r.meta.owner, r.fragment.key) for r in targets}:
             dependents = reachable(edges.get(node, ()), lambda n: edges.get(n, ()))
             bulk[node] = sum(sizes[d] for d in dependents)
-        return [bulk[(r.meta.owner, r.version_key)] for r in targets]
+        return [bulk[(r.meta.owner, r.fragment.key)] for r in targets]
 
     def evict(self, needed_bytes: int, now: float) -> list[ReplicaKey]:
         """Free at least `needed_bytes`, cheapest casualties first.

@@ -45,12 +45,7 @@ class SaveOutcome:
     version: int
     fragment_index: int
     bytes_transferred: int
-    channel: ChannelEstimate
     saved: bool
-
-    @property
-    def key(self) -> VersionKey:
-        return (self.item_id, self.version)
 
 
 class LinkSession:
@@ -273,15 +268,11 @@ class Scheduler:
                 self.tables[key] = old_table
                 skips.add(key)
                 self.enqueue(item, self.success_of(key))
-                outcomes.append(
-                    SaveOutcome(item.id, item.version, next_index, size, channel, False)
-                )
+                outcomes.append(SaveOutcome(item.id, item.version, next_index, size, False))
                 continue
             free = None
             session_count[key] = m
             self._next_index[key] = next_index + 1
-            outcomes.append(
-                SaveOutcome(item.id, item.version, next_index, size, channel, True)
-            )
+            outcomes.append(SaveOutcome(item.id, item.version, next_index, size, True))
             self.enqueue(item, proba)
         return outcomes

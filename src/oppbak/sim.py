@@ -24,8 +24,9 @@ outcomes.
 Fragment fate: a failed draw means the owner cannot reach the holder; the
 holder keeps the fragment. Restores skip it on the peer, but the holder
 still uploads it to the server in its own windows, a peer-to-server path
-the restore-probability estimate ignores. A fate lives as long as its
-replica.
+the restore-probability estimate ignores. The fate lives on the replica
+(`Replica.fate`): it is drawn when the peer's store accepts the session's
+first fragment of a version, and goes when the replica does.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .model import (
     detect_conflict,
     propagate_priority,
 )
-from .peer import NoticeSource, ReplicaMetadata, ReplicaState, ReplicaStore
+from .peer import NoticeSource, Replica, ReplicaMetadata, ReplicaState, ReplicaStore
 from .reliability import ChannelEstimate, ReliabilityTable, composite_success
 # not called here: benchmarks/spans.py counts calls under the name oppbak.sim.config_from_dict
 from .scenario import ConfigError, ScenarioConfig, config_from_dict  # noqa: F401
@@ -430,7 +431,6 @@ class Simulation:
         self.fragment_sets: dict[VersionKey, FragmentSet] = {}
         self.owned_ids: dict[str, list[str]] = {t: [] for t in self.producers}
         self.server_fragments: dict[VersionKey, dict[int, Fragment]] = {}
-        self.fates: dict[tuple[str, str, int, int], bool] = {}
         self.bytes_to_peers = 0
         self.bytes_to_server = 0
         self.fragments_saved = 0
@@ -501,12 +501,22 @@ class Simulation:
 
     def _deletion_hook(self, terminal: str):
         def hook(replica, reason: str) -> None:
-            key, index = replica.version_key, replica.fragment.index
+            key, index = replica.fragment.key, replica.fragment.index
             self.index.drop_peer_holding(key, terminal, index)
-            del self.fates[(terminal, *key, index)]
             self._record_occupancy(terminal)
             self._trace("DELETE", terminal=terminal, item=key, frag=index, reason=reason)
         return hook
+
+    def _record_save(self, peer: str, replica: Replica, fates: dict[VersionKey, bool]) -> None:
+        """Book a replica as `peer`'s store accepts it; `fates` is the session's draw per version."""
+        key, index, size = replica.fragment.key, replica.fragment.index, replica.size_bytes
+        if key not in fates:
+            fates[key] = self._channels.random() < self.true_retrieval
+        replica.fate = fates[key]
+        self.index.record_peer_holding(key, peer, index)
+        self.bytes_to_peers += size
+        self.fragments_saved += 1
+        self._trace("SAVE", size, from_=replica.meta.owner, to=peer, item=key, frag=index)
 
     def _record_occupancy(self, terminal: str) -> None:
         points = self.occupancy[terminal]
@@ -591,22 +601,8 @@ class Simulation:
                 continue
             if self.config.terminals.backup_peers == "nonproducers" and peer in self.schedulers:
                 continue
-            terminal = _PeerTerminal(self, peer)
-            outcomes = scheduler.on_meeting(terminal, link, now=self.now)
-            session_fate: dict[VersionKey, bool] = {}
-            for outcome in outcomes:
-                if not outcome.saved:
-                    continue
-                key = outcome.key
-                if key not in session_fate:
-                    session_fate[key] = self._channels.random() < self.true_retrieval
-                self.fates[(peer, *key, outcome.fragment_index)] = session_fate[key]
-                self.index.record_peer_holding(key, peer, outcome.fragment_index)
-                self.bytes_to_peers += outcome.bytes_transferred
-                self.fragments_saved += 1
-                self._record_occupancy(peer)
-                self._trace("SAVE", outcome.bytes_transferred, from_=owner, to=peer,
-                            item=key, frag=outcome.fragment_index)
+            scheduler.on_meeting(_PeerTerminal(self, peer), link, now=self.now)
+            self._record_occupancy(peer)
 
     def _mark_served(self, key: VersionKey) -> None:
         self.index.mark_on_server(key)
@@ -646,7 +642,7 @@ class Simulation:
         store = self.stores[terminal]
         uploaded_ids: set[str] = set()
         for replica in store.replicas():
-            key = replica.version_key
+            key = replica.fragment.key
             if key not in self.index or self.index.is_on_server(key):
                 continue
             if replica.state is ReplicaState.CONFIRMED_SAVED:
@@ -705,15 +701,14 @@ class Simulation:
         """Fragments reachable right now: server indices ascending, then peers'."""
         on_server = self.server_fragments.get(key, {})
         found = {idx: on_server[idx] for idx in sorted(on_server)}
-        item_id, version = key
         owner = self.index.get(key).owner
         for terminal, indices in sorted(self.index.peer_holdings(key).items()):
             if not self.alive[terminal]:
                 continue
             store = self.stores[terminal]
             for idx in sorted(indices):
-                if idx not in found and self.fates.get((terminal, item_id, version, idx), False):
-                    found[idx] = store.get((owner, item_id, version, idx)).fragment
+                if idx not in found and (replica := store.get((owner, *key, idx))).fate:
+                    found[idx] = replica.fragment
         return found
 
     def _restorable(self, key: VersionKey, memo: dict[VersionKey, bool]) -> bool:
@@ -887,12 +882,13 @@ class Simulation:
 
 
 class _PeerTerminal:
-    """Adapter presenting a peer's store to the owner-side scheduler."""
+    """Adapter presenting a peer's store to one owner's session of a meeting."""
 
     def __init__(self, sim: Simulation, terminal_id: str) -> None:
         self._sim = sim
         self.terminal_id = terminal_id
         self.channel = sim.channel_estimate
+        self._fates: dict[VersionKey, bool] = {}  # the session's fate draw per version
 
     def free_bytes(self) -> int:
         return self._sim.stores[self.terminal_id].free_bytes(self._sim.now)
@@ -907,7 +903,12 @@ class _PeerTerminal:
             mergeable=item.mergeable,
             stream=item.stream,
         )
-        return self._sim.stores[self.terminal_id].accept(fragment, meta, self._sim.now)
+        store = self._sim.stores[self.terminal_id]
+        if not store.accept(fragment, meta, self._sim.now):
+            return False
+        replica = store.get((item.owner, *fragment.key, fragment.index))
+        self._sim._record_save(self.terminal_id, replica, self._fates)
+        return True
 
 
 def run(config: ScenarioConfig, trace: Optional[TraceSink] = None) -> MetricsReport:

@@ -12,7 +12,7 @@ from oppbak import dispersal
 from oppbak.dispersal import fragment_wire_size
 from oppbak import sim as sim_module
 from oppbak.model import DataItem, IntegrityError, Production, UsageError
-from oppbak.peer import ReplicaStore
+from oppbak.peer import NoticeSource, ReplicaStore
 from oppbak.reliability import ReliabilityTable, composite_success
 from oppbak.scenario import ConfigError, config_from_dict
 from oppbak.sim import (
@@ -111,6 +111,36 @@ class TestScriptedRuns:
         assert report.outcomes == {"t00/d0000@1": "recoverable_from_peers"}
         assert report.fragments_saved == 2
         assert report.calibration_episodes == ((0.9, 1),)  # estimate, honest fate
+
+    def test_replica_deleted_in_the_meeting_that_saved_it(self, monkeypatch):
+        """A save is booked as the store accepts it, so the meeting may delete it again."""
+        save = sim_module._PeerTerminal.save
+
+        def save_then_outdate(terminal, fragment, item, declared_success):
+            saved = save(terminal, fragment, item, declared_success)
+            if saved and fragment.index == 1:  # an owner notice names a newer version
+                store = terminal._sim.stores[terminal.terminal_id]
+                store.notify(NoticeSource.OWNER_NOTICE, item.id, item.version + 1)
+                store.purge(terminal._sim.now)
+            return saved
+
+        monkeypatch.setattr(sim_module._PeerTerminal, "save", save_then_outdate)
+        lines = []
+        sim = Simulation(quiet_config(), trace=lines.append)
+        produce(sim, 1.0, item_spec(size=1000, n=4, k=2))
+        meet(sim, 10.0, "t00", "t01", 4 * fragment_wire_size(1000, 2))
+        replicas = sim.stores["t01"].replicas()
+        assert [r.fragment.index for r in replicas] == [2, 3]
+        assert all(r.fate is True for r in replicas)
+        assert sim.index.peer_holdings(("t00/d0000", 1)) == {"t01": frozenset({2, 3})}
+        moves = [(line.split()[1], line.split("frag=")[1].split()[0])
+                 for line in lines if "frag=" in line]
+        assert moves == [("SAVE", "0"), ("SAVE", "1"), ("DELETE", "0"), ("DELETE", "1"),
+                         ("SAVE", "2"), ("SAVE", "3")]
+        fail_and_restore(sim, 100.0, "t00")
+        report = sim.finish()
+        assert report.outcomes == {"t00/d0000@1": "recoverable_from_peers"}
+        assert report.fragments_saved == 4
 
     def test_corrupted_parity_fragment_fails_the_restore_check(self):
         sim = Simulation(quiet_config())

@@ -11,7 +11,7 @@ recomputation from scratch:
 * every store's byte count equals the recomputed sum;
 * every store's per-owner item index equals a full scan of its keys;
 * the version index's peer holdings equal the union of store contents;
-* the channel fates are keyed by exactly the held replicas;
+* every held replica carries a drawn channel fate;
 * no pinned replica is ever deleted as useless;
 * the memoised `success_of` equals a fresh `composite_success`;
 * every backup queue, once its pending notices are applied, caches each
@@ -194,7 +194,7 @@ class SimulationMachine(RuleBasedStateMachine):
         held: dict = {}
         for terminal, store in self.sim.stores.items():
             for replica in store.replicas():
-                held.setdefault(replica.version_key, {}).setdefault(terminal, set()).add(
+                held.setdefault(replica.fragment.key, {}).setdefault(terminal, set()).add(
                     replica.fragment.index
                 )
         index = self.sim.index
@@ -204,13 +204,10 @@ class SimulationMachine(RuleBasedStateMachine):
         assert not held  # every held replica belongs to a registered version
 
     @invariant()
-    def fates_match_held_replicas(self):
-        held = {
-            (terminal, *replica.version_key, replica.fragment.index)
-            for terminal, store in self.sim.stores.items()
-            for replica in store.replicas()
-        }
-        assert self.sim.fates.keys() == held
+    def held_replicas_carry_drawn_fates(self):
+        for terminal, store in self.sim.stores.items():
+            for replica in store.replicas():
+                assert replica.fate is not None, (terminal, replica.key)
 
     @invariant()
     def memoised_success_is_fresh(self):
