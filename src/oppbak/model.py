@@ -136,8 +136,7 @@ class VersionIndex:
 
     Registration order doubles as creation order: a version may only
     depend on versions that are already present, which keeps the
-    dependency graph acyclic by construction (and `assert_acyclic`
-    re-checks it independently).
+    dependency graph acyclic by construction.
     """
 
     def __init__(self) -> None:
@@ -288,21 +287,6 @@ class VersionIndex:
         return [
             self.snapshot_record((item_id, v), alive) for v in self.versions_of(item_id)
         ]
-
-    def assert_acyclic(self) -> None:
-        """Kahn topological sort over dependency edges; raises on any cycle."""
-        indeg = {key: len(self.get(key).temporal_deps) for key in self._items}
-        ready = [key for key, d in indeg.items() if d == 0]
-        visited = 0
-        while ready:
-            key = ready.pop()
-            visited += 1
-            for dependent in self._rdeps.get(key, ()):
-                indeg[dependent] -= 1
-                if indeg[dependent] == 0:
-                    ready.append(dependent)
-        if visited != len(self._items):
-            raise IntegrityError("dependency graph contains a cycle")
 
 
 def reachable(roots: Iterable[Node], step: Callable[[Node], Iterable[Node]]) -> set[Node]:

@@ -8,8 +8,8 @@ next fragment, folds the save into the item's reliability table, and
 re-queues the item only while it still falls short of its target.
 
 Deficits are cached: whoever changes one sends the queue a notice, and
-the next pull re-reads only the noticed ones. Items with every fragment
-sent are parked, out of meeting pulls, for the Internet-window flush.
+the next pull re-reads only the noticed ones. An item with every fragment
+sent stays queued for the Internet-window flush; meetings pass it over.
 """
 
 from __future__ import annotations
@@ -74,17 +74,15 @@ class LinkSession:
 class BackupQueue:
     """Deficit-ordered set of pending item versions.
 
-    Live entries are (-deficit, seq, key) tuples in a heap: a meeting pull
-    costs O(log n) plus the entries it rejects. A `notice` makes the next
-    pull re-read that deficit, re-stamping or retiring the entry; stale
-    stamps are skipped, and purged once they outnumber live ones. Parked
-    entries stay out of the heap: only `pull(..., parked=True)` scans them.
+    Live entries are (-deficit, seq, key) tuples in a heap: a pull costs
+    O(log n) plus the entries it rejects. A `notice` makes the next pull
+    re-read that deficit, re-stamping or retiring the entry; stale stamps
+    are skipped, and purged once they outnumber live ones.
     """
 
     def __init__(self) -> None:
         self._entries: dict[VersionKey, tuple[float, int, VersionKey]] = {}
         self._heap: list[tuple[float, int, VersionKey]] = []
-        self._parked: set[VersionKey] = set()
         self._noticed: set[VersionKey] = set()
         self._next_seq = 0
 
@@ -95,10 +93,10 @@ class BackupQueue:
         return key in self._entries
 
     def keys(self) -> list[VersionKey]:
-        """Queued keys, parked ones included, in arrival order."""
+        """Queued keys in arrival order."""
         return list(self._entries)
 
-    def enqueue(self, key: VersionKey, deficit: float, parked: bool = False) -> bool:
+    def enqueue(self, key: VersionKey, deficit: float) -> bool:
         """Insert iff the item still falls short of its target (deficit > 0)."""
         if key in self._entries:
             raise UsageError(f"{key} is already queued")
@@ -106,10 +104,7 @@ class BackupQueue:
             return False
         entry = self._entries[key] = (-deficit, self._next_seq, key)
         self._next_seq += 1
-        if parked:
-            self._parked.add(key)
-        else:
-            heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, entry)
         return True
 
     def notice(self, key: VersionKey) -> None:
@@ -121,7 +116,6 @@ class BackupQueue:
         self,
         deficit_of: Callable[[VersionKey], float],
         eligible: Optional[Callable[[VersionKey], bool]] = None,
-        parked: bool = False,
     ) -> Optional[VersionKey]:
         """Remove and return the highest-deficit eligible entry.
 
@@ -133,44 +127,38 @@ class BackupQueue:
             deficit = deficit_of(key)
             if deficit <= 0.0:
                 del entries[key]
-                self._parked.discard(key)
             elif -deficit != entries[key][0]:
                 entry = entries[key] = (-deficit, entries[key][1], key)
-                if key not in self._parked:
-                    heapq.heappush(heap, entry)
-        self._noticed.clear()
-        if parked:  # the server flush: one scan over live and parked entries
-            found = min((e for e in entries.values() if eligible is None or eligible(e[2])),
-                        default=None)
-        else:
-            found, rejected = None, []
-            while heap:
-                entry = heapq.heappop(heap)
-                if entries.get(entry[2]) is not entry:
-                    continue  # stale stamp
-                if eligible is None or eligible(entry[2]):
-                    found = entry
-                    break
-                rejected.append(entry)
-            for entry in rejected:
                 heapq.heappush(heap, entry)
+        self._noticed.clear()
+        found, rejected = None, []
+        while heap:
+            entry = heapq.heappop(heap)
+            if entries.get(entry[2]) is not entry:
+                continue  # stale stamp
+            if eligible is None or eligible(entry[2]):
+                found = entry
+                break
+            rejected.append(entry)
+        for entry in rejected:
+            heapq.heappush(heap, entry)
         if found is not None:
             del entries[found[2]]
-            self._parked.discard(found[2])
-        if len(heap) > 2 * (len(entries) - len(self._parked)):
-            self._heap = [e for key, e in entries.items() if key not in self._parked]
+        if len(heap) > 2 * len(entries):
+            self._heap = list(entries.values())
             heapq.heapify(self._heap)
         return None if found is None else found[2]
 
 
 @dataclass
 class Scheduler:
-    """Per-owner backup driver: one queue, one fragment cursor per item.
+    """Per-owner backup driver over one queue.
 
-    `success_of` supplies the current composite restore estimate for a
-    version (the simulator wires it to the dependency-aware product);
-    `fragment_for` materializes fragment number i of a version, or is
-    left None to run in metadata mode with size-only fragments.
+    Each item's table counts its fragments sent, which is also the index
+    of the next one. `success_of` supplies the current composite restore
+    estimate for a version (the simulator wires it to the dependency-aware
+    product); `fragment_for` materializes fragment number i of a version,
+    or is left None to run in metadata mode with size-only fragments.
     """
 
     owner: str
@@ -179,21 +167,16 @@ class Scheduler:
     success_of: Callable[[VersionKey], float]
     fragment_for: Optional[Callable[[VersionKey, int], Fragment]] = None
     queue: BackupQueue = field(default_factory=BackupQueue)
-    _next_index: dict[VersionKey, int] = field(default_factory=dict)
 
     def enqueue(self, item: DataItem, current_success: float) -> bool:
         """Queue an item while its success estimate falls short of its priority.
 
         Every requeue, the save loop's and the simulator's, goes through here.
-        An item with all n fragments sent is parked until a server upload.
+        An item with all n fragments sent stays queued until a server upload.
         """
         if item.key not in self.index:
             raise UsageError(f"{item.key} is not registered")
-        exhausted = self._next_index.get(item.key, 0) >= item.n
-        return self.queue.enqueue(item.key, item.priority - current_success, exhausted)
-
-    def fragments_sent(self, key: VersionKey) -> int:
-        return self._next_index.get(key, 0)
+        return self.queue.enqueue(item.key, item.priority - current_success)
 
     def deficit_of(self, key: VersionKey) -> float:
         """Current shortfall below target; the queue's ordering key."""
@@ -225,12 +208,12 @@ class Scheduler:
 
         `terminal.free_bytes()` is read at most once between two saves,
         lazily, at the first eligibility check that needs it: within one
-        meeting only a save changes it.
+        meeting only a save changes it. An item with all n fragments sent
+        is passed over before that read, and is neither saved nor retired.
         """
         outcomes: list[SaveOutcome] = []
         skips: set[VersionKey] = set()
         session_base: dict[VersionKey, ReliabilityTable] = {}
-        session_count: dict[VersionKey, int] = {}
         channel = terminal.channel
         free: Optional[int] = None  # the terminal's free bytes, read since the last save
 
@@ -239,6 +222,8 @@ class Scheduler:
             if key in skips:
                 return False
             item = self.index.get(key)
+            if self.tables[key].fragments_saved >= item.n:
+                return False  # every fragment sent: left for the server flush
             if item.expired(now):
                 return True  # pulled then retired below
             if free is None:
@@ -250,18 +235,18 @@ class Scheduler:
             if key is None:
                 break
             item = self.index.get(key)
-            next_index = self._next_index.get(key, 0)
             if item.expired(now):
                 continue  # no longer worth sending; silently retired
+            old_table = self.tables[key]
+            next_index = old_table.fragments_saved
             fragment = self._fragment(key, next_index)
             size = fragment_wire_size(item.size_bytes, item.k)
             if not link.try_transfer(size):
                 # dropped mid-transfer: the fragment does not count
                 self.enqueue(item, self.success_of(key))
                 break
-            old_table = self.tables[key]
             base = session_base.setdefault(key, old_table)
-            m = session_count.get(key, 0) + 1
+            m = next_index - base.fragments_saved + 1
             self.tables[key] = base.add_batch_same_terminal(channel, m)
             proba = self.success_of(key)
             if not terminal.save(fragment, item, proba):
@@ -271,8 +256,6 @@ class Scheduler:
                 outcomes.append(SaveOutcome(item.id, item.version, next_index, size, False))
                 continue
             free = None
-            session_count[key] = m
-            self._next_index[key] = next_index + 1
             outcomes.append(SaveOutcome(item.id, item.version, next_index, size, True))
             self.enqueue(item, proba)
         return outcomes

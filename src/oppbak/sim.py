@@ -496,8 +496,7 @@ class Simulation:
         self.trace_sink(" ".join(parts))
 
     def _pin_check(self, item_id: str, version: int) -> bool:
-        key = (item_id, version)
-        return key in self.index and self.index.pinned(key)
+        return self.index.pinned((item_id, version))
 
     def _deletion_hook(self, terminal: str):
         def hook(replica, reason: str) -> None:
@@ -574,8 +573,7 @@ class Simulation:
         """
         store = self.stores[peer]
         for item_id in store.item_ids_of(owner):
-            held = [version for who, _, version, _ in store.keys_of(item_id)
-                    if who == owner and (item_id, version) in self.index]
+            held = [version for who, _, version, _ in store.keys_of(item_id) if who == owner]
             if not held or max(held) >= (latest := self.index.latest_version(item_id)):
                 continue
             if store.notify(NoticeSource.OWNER_NOTICE, item_id, latest):
@@ -628,7 +626,7 @@ class Simulation:
             item = self.index.get(key)
             return item.expired(self.now) or item.size_bytes <= budget
 
-        while (key := scheduler.queue.pull(scheduler.deficit_of, eligible, parked=True)):
+        while (key := scheduler.queue.pull(scheduler.deficit_of, eligible)):
             item = self.index.get(key)
             if item.expired(self.now):
                 continue
@@ -643,7 +641,7 @@ class Simulation:
         uploaded_ids: set[str] = set()
         for replica in store.replicas():
             key = replica.fragment.key
-            if key not in self.index or self.index.is_on_server(key):
+            if self.index.is_on_server(key):
                 continue
             if replica.state is ReplicaState.CONFIRMED_SAVED:
                 continue
@@ -654,7 +652,7 @@ class Simulation:
                 continue
             size = replica.size_bytes
             if size > budget:
-                break
+                continue
             budget -= size
             have[replica.fragment.index] = replica.fragment
             self.bytes_to_server += size

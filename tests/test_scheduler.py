@@ -113,26 +113,25 @@ class TestBackupQueue:
             assert q.keys() == [key for key in queued if key != expected]
             assert len(q._heap) <= 2 * len(q)
 
-    def test_parked_entries_come_out_of_the_flush_only(self):
+    def test_filtered_pull_keeps_rejected_entries_in_order(self):
         def filled():
             q = BackupQueue()
-            for name, deficit, parked in [("a", 0.5, False), ("b", 0.9, True), ("c", 0.5, True),
-                                          ("d", 0.7, False), ("e", 0.5, False)]:
-                q.enqueue((name, 1), deficit, parked=parked)
+            for name, deficit in [("a", 0.5), ("b", 0.9), ("c", 0.5), ("d", 0.7), ("e", 0.5)]:
+                q.enqueue((name, 1), deficit)
             return q
 
-        def drain(q, **kwargs):
+        def drain(q, eligible=None):
             pulled = []
-            while (key := q.pull(lambda key: 1.0, **kwargs)) is not None:
+            while (key := q.pull(lambda key: 1.0, eligible)) is not None:
                 pulled.append(key[0])
             return pulled
 
         meeting = filled()
-        assert drain(meeting) == ["d", "a", "e"]
+        assert drain(meeting, lambda key: key[0] not in "bc") == ["d", "a", "e"]
         assert meeting.keys() == [("b", 1), ("c", 1)]
-        assert drain(filled(), parked=True) == ["b", "d", "a", "c", "e"]
+        assert drain(filled()) == ["b", "d", "a", "c", "e"]
         flush = filled()
-        assert flush.pull(lambda key: 1.0, lambda key: key[0] in "ce", parked=True) == ("c", 1)
+        assert flush.pull(lambda key: 1.0, lambda key: key[0] in "ce") == ("c", 1)
 
     def test_ineligible_entries_stay(self):
         q = BackupQueue()
@@ -183,7 +182,7 @@ class TestOnMeeting:
         assert len(outcomes) == 1 and outcomes[0].saved
         assert link.dropped
         assert item.key in scheduler.queue
-        assert scheduler.fragments_sent(item.key) == 1
+        assert scheduler.tables[item.key].fragments_saved == 1
 
     def test_pull_order_and_fifo_ties(self):
         a = make_item("a", priority=0.9, size=100)
@@ -203,7 +202,7 @@ class TestOnMeeting:
         scheduler.enqueue(exact, 0.0)
         scheduler.on_meeting(FakeTerminal(p=0.7), LinkSession(10**6))
         assert exact.key not in scheduler.queue
-        assert scheduler.fragments_sent(exact.key) == 1
+        assert scheduler.tables[exact.key].fragments_saved == 1
 
     def test_post_meeting_soundness(self):
         big = make_item("big", priority=0.9, size=5000)
@@ -238,8 +237,20 @@ class TestOnMeeting:
             outcomes = scheduler.on_meeting(FakeTerminal(p=0.01), LinkSession(10**6))
             total += sum(o.saved for o in outcomes)
         assert total == 3  # n exhausted; later meetings save nothing
-        assert scheduler.fragments_sent(item.key) == 3
+        assert scheduler.tables[item.key].fragments_saved == 3
         # still short of its target: stays queued for an eventual server flush
+        assert item.key in scheduler.queue
+
+    def test_exhausted_item_passed_over_before_any_free_space_read(self):
+        item = make_item("a", priority=1.0, n=2, k=1, size=100, lifetime=50.0)
+        scheduler = build_scheduler([item])
+        scheduler.enqueue(item, 0.0)
+        scheduler.on_meeting(FakeTerminal(p=0.1), LinkSession(10**6))
+        assert scheduler.tables[item.key].fragments_saved == 2
+        terminal = FakeTerminal(p=0.1)
+        # expired too, yet neither saved nor retired: exhaustion is tested first
+        assert scheduler.on_meeting(terminal, LinkSession(10**6), now=60.0) == []
+        assert terminal.saved == [] and terminal.reads == 0
         assert item.key in scheduler.queue
 
     def test_same_session_batch_vs_independent(self):

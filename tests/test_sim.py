@@ -250,6 +250,24 @@ class TestScriptedRuns:
         assert not sim.index.is_on_server(("t00/d0000", 1))
         assert ("t00/d0000", 1) in sim.schedulers["t00"].queue  # retained
 
+    def test_window_flush_skips_a_held_fragment_that_does_not_fit(self):
+        trace: list[str] = []
+        sim = Simulation(quiet_config(payload_mode=False), trace=trace.append)
+        big = item_spec("t00/d0000", size=5000, n=1, k=1)
+        small = item_spec("t00/d0000", version=2, size=300, n=1, k=1)
+        produce(sim, 1.0, big)
+        produce(sim, 2.0, small)
+        meet(sim, 3.0, "t00", "t01", fragment_wire_size(5000, 1) + fragment_wire_size(300, 1))
+        del trace[:]
+        wire = fragment_wire_size(300, 1)
+        sim.process(InternetWindowEvent(time=4.0, terminal="t01", duration=1.0, bandwidth=wire))
+        # the 5,000 B fragment comes first and does not fit; the 300 B one still goes up
+        assert [line.split()[1] for line in trace] == [
+            "WINDOW", "UPLOAD_FRAG", "NOTICE", "DELETE", "DELETE"
+        ]
+        assert "item=t00/d0000@2" in trace[1]
+        assert sim.index.is_on_server(small.key)
+
     @pytest.mark.parametrize("loop", ["meeting", "window"])
     def test_exhausted_entry_retired_when_satisfied_then_requeued_on_raise(self, loop):
         sim = Simulation(quiet_config(
@@ -264,7 +282,7 @@ class TestScriptedRuns:
         # room for two fragments: dep (deficit 0.9) then top (0.7); top is then
         # exhausted (n=1) but still short at 0.8 * 0.8 = 0.64 < 0.7
         meet(sim, 3.0, "t00", "t01", 2 * wire)
-        assert sim.schedulers["t00"].fragments_sent(top.key) == top.n
+        assert sim.tables[top.key].fragments_saved == top.n
         assert queue.keys() == [dep.key, top.key]
         # t01 uploads dep's fragment (k=1): dep is served, so top's estimate
         # becomes 0.8 >= 0.7 without any save of its own

@@ -16,7 +16,8 @@ recomputation from scratch:
 * the memoised `success_of` equals a fresh `composite_success`;
 * every backup queue, once its pending notices are applied, caches each
   entry's current deficit, and its next meeting pick is the linear-scan
-  argmax over (-deficit, seq) of the entries not yet exhausted.
+  argmax over (-deficit, seq) of the entries not yet exhausted;
+* the reliability tables together count every save the stores accepted.
 """
 
 from __future__ import annotations
@@ -224,10 +225,17 @@ class SimulationMachine(RuleBasedStateMachine):
             entries = queue._entries
             for key, (neg_deficit, _, _) in entries.items():
                 assert -neg_deficit == scheduler.deficit_of(key) > 0.0, key
-            sendable = [entry for key, entry in entries.items()
-                        if scheduler.fragments_sent(key) < index.get(key).n]
-            expected = min(sendable)[2] if sendable else None
-            assert queue.pull(scheduler.deficit_of) == expected
+
+            def sendable(key):
+                return scheduler.tables[key].fragments_saved < index.get(key).n
+
+            candidates = [entry for key, entry in entries.items() if sendable(key)]
+            expected = min(candidates)[2] if candidates else None
+            assert queue.pull(scheduler.deficit_of, sendable) == expected
+
+    @invariant()
+    def tables_count_every_save(self):
+        assert sum(t.fragments_saved for t in self.sim.tables.values()) == self.sim.fragments_saved
 
 
 SimulationMachine.TestCase.settings = settings(
