@@ -36,7 +36,7 @@ import heapq
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from operator import attrgetter
 from typing import Any, Callable, Optional, Union
@@ -147,7 +147,8 @@ class _Report:
     """JSON form of a report dataclass; `json.dumps` writes its tuples as arrays."""
 
     def to_json_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """The report's fields by name; values are shared, not copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def json_bytes(self) -> bytes:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")).encode()
@@ -382,37 +383,31 @@ def generate_events(config: ScenarioConfig) -> list[Event]:
 
 
 class _Tables(dict):
-    """Reliability table per version, plus the composite success memo.
+    """Reliability table per version that notices its owners' queues.
 
-    `success` maps a version to its memoised `composite_success`, which
-    reads the tables and server status of the version and its dependency
-    closure. Replacing a table forgets the memo, as must a version
-    reaching the server (`forget`). Forgetting covers the version's full
-    reverse-dependency closure: a dependent can be memoised while its
-    dependency is not, so the walk cannot stop at the first gap; a
-    version nothing depends on forgets only its own entry. Each entry
-    forgotten is noticed to its owner's queue, which cached a deficit
-    from it. With no reference to the simulation, the map adds no cycle.
+    A version's composite success reads the tables and server status of
+    the version and its dependency closure, so replacing its table, or the
+    version reaching the server (`notice_dependents`), may change the
+    deficit cached for it and for everything depending on it directly or
+    not. Each of those is noticed to its owner's queue, which ignores
+    keys it does not hold; a version nothing depends on notices only
+    itself. With no reference to the simulation, the map adds no cycle.
     """
 
     def __init__(self, index: VersionIndex, queues: dict[str, BackupQueue]) -> None:
         super().__init__()
         self.index = index
         self.queues = queues
-        self.success: dict[VersionKey, float] = {}
 
     def __setitem__(self, key: VersionKey, table: ReliabilityTable) -> None:
         super().__setitem__(key, table)
-        self.forget(key)
+        self.notice_dependents(key)
 
-    def forget(self, key: VersionKey) -> None:
-        if not self.success:
-            return
+    def notice_dependents(self, key: VersionKey) -> None:
         index = self.index
         keys = (key, *index.transitive_dependents(key)) if index.has_dependents(key) else (key,)
-        for forgotten in keys:
-            if self.success.pop(forgotten, None) is not None:
-                self.queues[index.get(forgotten).owner].notice(forgotten)
+        for changed in keys:
+            self.queues[index.get(changed).owner].notice(changed)
 
 
 class Simulation:
@@ -433,7 +428,6 @@ class Simulation:
         self.server_fragments: dict[VersionKey, dict[int, Fragment]] = {}
         self.bytes_to_peers = 0
         self.bytes_to_server = 0
-        self.fragments_saved = 0
         self.conflicts: list[dict[str, Any]] = []
         self.episodes: list[tuple[float, int]] = []
         self.pending_restores: dict[str, list[tuple[VersionKey, float]]] = {}
@@ -514,7 +508,6 @@ class Simulation:
         replica.fate = fates[key]
         self.index.record_peer_holding(key, peer, index)
         self.bytes_to_peers += size
-        self.fragments_saved += 1
         self._trace("SAVE", size, from_=replica.meta.owner, to=peer, item=key, frag=index)
 
     def _record_occupancy(self, terminal: str) -> None:
@@ -524,12 +517,8 @@ class Simulation:
             points.append((self.now, used))
 
     def success_of(self, key: VersionKey) -> float:
-        """Composite restore probability of a version, memoised per version."""
-        memo = self.tables.success
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = composite_success(self.index.get(key), self.tables, self.index)
-        return value
+        """Composite restore probability of a version; the queues cache its deficit."""
+        return composite_success(self.index.get(key), self.tables, self.index)
 
     def _fragment_for(self, key: VersionKey, i: int) -> Fragment:
         """Fragment i of a version; its payload and `FragmentSet` are made at the first request."""
@@ -574,7 +563,7 @@ class Simulation:
         store = self.stores[peer]
         for item_id in store.item_ids_of(owner):
             held = [version for who, _, version, _ in store.keys_of(item_id) if who == owner]
-            if not held or max(held) >= (latest := self.index.latest_version(item_id)):
+            if max(held) >= (latest := self.index.latest_version(item_id)):
                 continue
             if store.notify(NoticeSource.OWNER_NOTICE, item_id, latest):
                 self._trace("NOTICE", kind="owner", from_=owner, to=peer, item=(item_id, latest))
@@ -604,7 +593,7 @@ class Simulation:
 
     def _mark_served(self, key: VersionKey) -> None:
         self.index.mark_on_server(key)
-        self.tables.forget(key)
+        self.tables.notice_dependents(key)
 
     def _on_window(self, event: InternetWindowEvent) -> None:
         terminal = event.terminal
@@ -857,6 +846,7 @@ class Simulation:
                 by_band[f"{lo:.2f}-{hi:.2f}"] = band_lost / len(members)
 
         produced = len(self.index)
+        saved = sum(table.fragments_saved for table in self.tables.values())
         report = MetricsReport(
             seed=self.config.seed,
             horizon_s=self.config.horizon_s,
@@ -865,8 +855,8 @@ class Simulation:
             outcomes=outcomes,
             loss_ratio=loss_ratio,
             loss_ratio_by_band=by_band,
-            fragments_saved=self.fragments_saved,
-            mean_fragments_per_item=(self.fragments_saved / produced) if produced else 0.0,
+            fragments_saved=saved,
+            mean_fragments_per_item=(saved / produced) if produced else 0.0,
             bytes_to_peers=self.bytes_to_peers,
             bytes_to_server=self.bytes_to_server,
             conflict_count=len(self.conflicts),

@@ -384,10 +384,11 @@ class TestTrace:
         ]
 
 
-class TestSuccessMemo:
-    """The memo must track every change below a version, however deep."""
+class TestDeficitNotices:
+    """A cached deficit is re-read after every change below its version, however deep."""
 
     def chain(self):
+        """v1 <- v2 <- v3, all queued, with no notice pending."""
         sim = Simulation(quiet_config(payload_mode=False))
         keys = [("t00/d0000", v) for v in (1, 2, 3)]
         for version, size in zip((1, 2, 3), (500, 5000, 5000)):
@@ -396,35 +397,55 @@ class TestSuccessMemo:
                     item_spec(size=size, version=version, deps=deps, priority=0.99))
         for key in keys:
             sim.tables[key] = ReliabilityTable.fresh(2).add_batch_same_terminal(0.9, 2)
-        return sim, keys
+        scheduler = sim.schedulers["t00"]
+        assert scheduler.queue.pull(scheduler.deficit_of, lambda key: False) is None
+        assert scheduler.queue.keys() == keys
+        return sim, scheduler, keys
 
-    def fresh(self, sim, key):
-        return composite_success(sim.index.get(key), sim.tables, sim.index)
+    def record_reads(self, scheduler):
+        """The keys whose deficit the scheduler reads from here on."""
+        read, deficit_of = [], scheduler.deficit_of
+        scheduler.deficit_of = lambda key: read.append(key) or deficit_of(key)
+        return read
+
+    def cached_deficit(self, sim, scheduler, key):
+        fresh = composite_success(sim.index.get(key), sim.tables, sim.index)
+        assert -scheduler.queue._entries[key][0] == sim.index.get(key).priority - fresh
+        return fresh
 
     def test_table_replacement_reaches_transitive_dependents(self):
-        sim, (v1, v2, v3) = self.chain()
-        assert sim.success_of(v3) == pytest.approx(0.9 ** 3)
+        sim, scheduler, (v1, v2, v3) = self.chain()
+        read = self.record_reads(scheduler)
         sim.tables[v1] = ReliabilityTable.fresh(2).add_batch_same_terminal(0.5, 2)
-        assert sim.success_of(v3) == self.fresh(sim, v3) == pytest.approx(0.5 * 0.81)
+        assert scheduler.queue.pull(scheduler.deficit_of, lambda key: False) is None
+        assert sorted(read) == [v1, v2, v3]
+        assert self.cached_deficit(sim, scheduler, v3) == pytest.approx(0.5 * 0.81)
 
-    def test_forgetting_a_version_without_dependents_notices_it_once(self):
-        sim, (v1, v2, v3) = self.chain()
-        for key in (v1, v2, v3):
-            sim.success_of(key)
+    def test_a_version_without_dependents_notices_only_itself(self):
+        sim, scheduler, (v1, v2, v3) = self.chain()
         noticed = []
-        sim.schedulers["t00"].queue.notice = noticed.append
-        sim.tables.forget(v3)
+        scheduler.queue.notice = noticed.append
+        sim.tables[v3] = ReliabilityTable.fresh(2).add_batch_same_terminal(0.5, 2)
         assert noticed == [v3]
-        assert v3 not in sim.tables.success and v2 in sim.tables.success
 
     def test_reaching_the_server_reaches_transitive_dependents(self):
-        sim, (v1, v2, v3) = self.chain()
-        assert sim.success_of(v3) == pytest.approx(0.9 ** 3)
+        sim, scheduler, (v1, v2, v3) = self.chain()
+        read = self.record_reads(scheduler)
         # the budget fits only v1, the smallest; v3 and v2 are pulled first
         sim.process(InternetWindowEvent(time=10.0, terminal="t00", duration=1.0,
                                         bandwidth=500.0))
         assert sim.index.is_on_server(v1) and not sim.index.is_on_server(v2)
-        assert sim.success_of(v3) == self.fresh(sim, v3) == pytest.approx(0.81)
+        assert sorted(read) == [v2, v3]  # the window's next pull re-read both
+        assert self.cached_deficit(sim, scheduler, v3) == pytest.approx(0.81)
+
+    def test_success_of_reads_the_module_global(self, monkeypatch):
+        sim, _, (v1, v2, v3) = self.chain()
+        calls = []
+        composite = sim_module.composite_success
+        monkeypatch.setattr(sim_module, "composite_success",
+                            lambda *args: calls.append(args[0].key) or composite(*args))
+        assert sim.success_of(v3) == pytest.approx(0.9 ** 3)
+        assert calls == [v3]
 
 
 def test_owner_notices_read_only_the_meeting_owners_items(monkeypatch):
@@ -551,6 +572,12 @@ class TestGeneratedRuns:
         r2 = run(config, trace=t2.append)
         assert r1.json_bytes() == r2.json_bytes()
         assert t1 == t2
+
+    def test_json_dict_shares_the_report_fields(self):
+        report = run(busy_config())
+        doc = report.to_json_dict()
+        assert list(doc) == [f.name for f in dataclasses.fields(report)]
+        assert doc["calibration_episodes"] is report.calibration_episodes
 
     def test_outcomes_partition_all_items(self):
         report = run(busy_config(seed=8))
