@@ -8,7 +8,9 @@ times the k data shards packs up to eight output rows into one 64-bit
 word: byte i of a column's 256-entry word table is the product of row i's
 coefficient with the entry's index. Each shard byte then costs one table
 gather per eight rows, XORed into a word accumulator, so splitting and
-rebuilding large payloads stays cheap.
+rebuilding large payloads stays cheap. The GF(256) tables are built, and
+numpy imported, at first use (field arithmetic, parity or a decode), so a
+run that only counts sizes never loads either.
 
 `split` makes the k data fragments at once. The n - k parity fragments
 are computed together at the first request for any of them, since a
@@ -34,11 +36,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .model import Fragment, IntegrityError, UsageError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _HEADER = struct.Struct(">32sBBBQQ")
 HEADER_SIZE = _HEADER.size  # 51
@@ -55,7 +58,11 @@ class FragmentMismatch(IntegrityError):
     """Fragments claim inconsistent headers and cannot belong to one set."""
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exp, log and full product tables of GF(256), built at the first call."""
+    import numpy as np
+
     exp = np.zeros(512, dtype=np.uint8)
     log = np.zeros(256, dtype=np.int32)
     x = 1
@@ -74,17 +81,15 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return exp, log, mul
 
 
-_EXP, _LOG, _MUL = _build_tables()
-
-
 def gf_mul(a: int, b: int) -> int:
-    return int(_MUL[a, b])
+    return int(_tables()[2][a, b])
 
 
 def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("no inverse of 0 in GF(256)")
-    return int(_EXP[255 - _LOG[a]])
+    exp, log, _ = _tables()
+    return int(exp[255 - log[a]])
 
 
 def gf_pow(a: int, e: int) -> int:
@@ -92,11 +97,15 @@ def gf_pow(a: int, e: int) -> int:
         return 1
     if a == 0:
         return 0
-    return int(_EXP[(_LOG[a] * e) % 255])
+    exp, log, _ = _tables()
+    return int(exp[(log[a] * e) % 255])
 
 
 def _invert(matrix: np.ndarray) -> np.ndarray:
     """Gauss-Jordan inverse over GF(256), one region operation per pivot."""
+    import numpy as np
+
+    mul = _tables()[2]
     size = len(matrix)
     aug = np.concatenate([matrix, np.eye(size, dtype=np.uint8)], axis=1)
     for col in range(size):
@@ -104,10 +113,10 @@ def _invert(matrix: np.ndarray) -> np.ndarray:
         if not aug[pivot, col]:
             raise IntegrityError("singular matrix: fragments are not independent")
         aug[[col, pivot]] = aug[[pivot, col]]
-        aug[col] = _MUL[gf_inv(aug[col, col]), aug[col]]
+        aug[col] = mul[gf_inv(aug[col, col]), aug[col]]
         factors = aug[:, col].copy()
         factors[col] = 0  # a zero factor leaves its row, here the pivot's, as it is
-        aug ^= _MUL[factors[:, None], aug[col]]
+        aug ^= mul[factors[:, None], aug[col]]
     return aug[:, size:].copy()
 
 
@@ -121,6 +130,8 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
 def _encode_matrix(n: int, k: int) -> np.ndarray:
     """n x k matrix whose top k rows are the identity and whose every
     k-row submatrix is invertible."""
+    import numpy as np
+
     vander = np.array([[gf_pow(i, j) for j in range(k)] for i in range(n)], dtype=np.uint8)
     return _frozen(_combine(vander, _invert(vander[:k])))
 
@@ -164,6 +175,8 @@ class FragmentSet:
         if i < self.k:
             return self.data[i]
         if self._parity is None:
+            import numpy as np
+
             shards = [np.frombuffer(f.payload, dtype=np.uint8) for f in self.data]
             rows = _combine(_encode_matrix(self.n, self.k)[self.k:], shards)
             self._parity = tuple(
@@ -188,8 +201,10 @@ class FragmentSet:
 def _packed(rows: np.ndarray) -> np.ndarray:
     """(k, 256) uint64 word table of up to eight matrix rows: byte i of
     entry [j, b] is rows[i, j] * b, and bytes past the last row are zero."""
+    import numpy as np
+
     table = np.zeros((rows.shape[1], 256, 8), dtype=np.uint8)
-    table[:, :, : len(rows)] = _MUL[rows].transpose(1, 2, 0)
+    table[:, :, : len(rows)] = _tables()[2][rows].transpose(1, 2, 0)
     return table.view(np.uint64)[:, :, 0]
 
 
@@ -202,6 +217,8 @@ def _combine(matrix: np.ndarray, shards: np.ndarray | list[np.ndarray]) -> np.nd
     i of group g's words is output row 8g + i; reading the accumulator back
     as bytes undoes the packing on either byte order.
     """
+    import numpy as np
+
     rows, width = matrix.shape[0], len(shards[0])
     tables = [_packed(matrix[g : g + 8]) for g in range(0, rows, 8)]
     acc = np.zeros((len(tables), width), dtype=np.uint64)
@@ -282,6 +299,8 @@ def reconstruct(fragments: Iterable[Fragment]) -> bytes:
     chunks = {i: by_index[i].payload for i in chosen if i < k}  # data chunks as given
     missing = [i for i in range(k) if i not in chunks]
     if missing:
+        import numpy as np
+
         shards = [np.frombuffer(by_index[i].payload, dtype=np.uint8) for i in chosen]
         decoded = _combine(_decode_matrix(ref.n, k, tuple(chosen))[missing], shards)
         chunks.update(zip(missing, (row.tobytes() for row in decoded)))

@@ -39,9 +39,7 @@ import random
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from operator import attrgetter
-from typing import Any, Callable, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from .dispersal import FragmentSet, reconstruct, split
 from .model import (
@@ -61,6 +59,9 @@ from .reliability import ChannelEstimate, ReliabilityTable, composite_success
 # not called here: benchmarks/spans.py counts calls under the name oppbak.sim.config_from_dict
 from .scenario import ConfigError, ScenarioConfig, config_from_dict  # noqa: F401
 from .scheduler import BackupQueue, LinkSession, Scheduler
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TraceSink = Callable[[str], None]
 
@@ -137,7 +138,7 @@ def _payload_for(key: VersionKey, size: int, generator: np.random.PCG64) -> byte
     generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                        "has_uint32": 0, "uinteger": 0}
     words = generator.random_raw(-(-size // 8)).astype("<u8", copy=False)
-    return words.view(np.uint8)[:size].tobytes()
+    return words.view("u1")[:size].tobytes()
 
 
 # -- reports -----------------------------------------------------------------
@@ -467,7 +468,10 @@ class Simulation:
     @cached_property
     def _generator(self) -> np.random.PCG64:
         """Payload generator, built once per run (numpy's seeding is slow) and
-        given a fresh state for each payload by `_payload_for`."""
+        given a fresh state for each payload by `_payload_for`; numpy is first
+        imported here, so size-only runs never load it."""
+        import numpy as np
+
         return np.random.PCG64(0)
 
     # -- shared helpers ------------------------------------------------
