@@ -39,11 +39,11 @@ def whole_copy(item_id, version, payload, **meta):
 
 # -- admission -----------------------------------------------------------------
 f, m = whole_copy("report", 1, b"q3 draft" * 40)
-print(f"accept report v1: {store.accept(f, m, now=0.0)} "
+print(f"accept report v1: {store.accept(f, m, now=0.0) is not None} "
       f"(used {store.used_bytes}/{store.quota_bytes})")
 
 f, m = whole_copy("cat-pic", 1, b"\x89PNG" * 200, priority=0.2, declared_success=0.95)
-print(f"accept cat-pic:   {store.accept(f, m, now=10.0)} "
+print(f"accept cat-pic:   {store.accept(f, m, now=10.0) is not None} "
       f"(used {store.used_bytes}/{store.quota_bytes})")
 
 # -- the owner updates the report: v1 superseded but still protecting v2 -------

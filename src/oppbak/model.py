@@ -9,7 +9,7 @@ checks can be answered from one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Mapping, Optional, TypeVar
 
@@ -35,7 +35,7 @@ class Production(Enum):
     APPEND_ONLY = "append_only"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataItem:
     """One version of one unit of user data.
 
@@ -43,7 +43,8 @@ class DataItem:
     ``temporal_deps`` lists (item id, version) pairs this version is
     useless without; the referenced versions must predate this one.
     ``stream`` tags union-mergeable append logs so stores can merge
-    replicas that belong to the same logical sequence.
+    replicas that belong to the same logical sequence. ``key``, built
+    once, is the (id, version) tuple that every map of versions shares.
     """
 
     id: str
@@ -58,6 +59,7 @@ class DataItem:
     temporal_deps: tuple[VersionKey, ...] = ()
     mergeable: bool = False
     stream: Optional[str] = None
+    key: VersionKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size_bytes < 0:
@@ -68,16 +70,13 @@ class DataItem:
             raise UsageError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.version < 1:
             raise UsageError(f"version must be >= 1, got {self.version}")
-
-    @property
-    def key(self) -> VersionKey:
-        return (self.id, self.version)
+        object.__setattr__(self, "key", (self.id, self.version))
 
     def expired(self, now: float) -> bool:
         return self.lifetime is not None and now >= self.lifetime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fragment:
     """One of n coded pieces of an item version.
 

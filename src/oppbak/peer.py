@@ -45,7 +45,7 @@ class EvictionShortfall(RuntimeError):
         self.deleted = deleted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplicaMetadata:
     """Owner-declared facts accompanying a saved fragment."""
 
@@ -62,6 +62,8 @@ class ReplicaMetadata:
 class Replica:
     """One held fragment, the owner's metadata for it, and its lifecycle state.
 
+    `sources`: (owner, item id, version) of each version a merged replica
+    stands for; empty for a single fragment's replica, which is its own.
     `fate`: can the owner reach this holder to restore it? A simulator draws
     it at the save; None (never drawn) reads as unreachable.
     """
@@ -259,9 +261,10 @@ class ReplicaStore:
             deleted.append(key)
         return deleted
 
-    def accept(self, fragment: Fragment, meta: ReplicaMetadata, now: float) -> bool:
+    def accept(self, fragment: Fragment, meta: ReplicaMetadata, now: float) -> Optional[Replica]:
         """Admit a fragment if free space allows; never displaces live data.
 
+        Returns the stored replica, or None if the fragment is refused.
         Admission uses the space left by the last purge: it does not purge
         itself, so callers read `free_bytes(now)` first, as the save loop
         does. Duplicates of an already-held (owner, item, version, index)
@@ -270,21 +273,16 @@ class ReplicaStore:
         """
         owner = meta.owner
         if (owner, fragment.item_id, fragment.version, fragment.index) in self._replicas:
-            return False
+            return None
         size = _stored_size(fragment)
         if self._used + size > self.quota_bytes:
-            return False
+            return None
         owner_cap = int(self.per_owner_cap * self.quota_bytes)
         if self._used_by_owner.get(owner, 0) + size > owner_cap:
-            return False
-        self._insert(Replica(
-            fragment=fragment,
-            meta=meta,
-            received_at=now,
-            size_bytes=size,
-            sources=frozenset({(owner, fragment.item_id, fragment.version)}),
-        ))
-        return True
+            return None
+        replica = Replica(fragment=fragment, meta=meta, received_at=now, size_bytes=size)
+        self._insert(replica)
+        return replica
 
     def notify(self, source: NoticeSource, item_id: str, version: int) -> int:
         """Apply a usefulness notice; returns how many replicas changed state.
@@ -428,7 +426,7 @@ class ReplicaStore:
             ),
             received_at=min(r.received_at for r in replicas),
             size_bytes=_stored_size(merged_fragment),
-            sources=frozenset().union(*(r.sources for r in replicas)),
+            sources=frozenset().union(*(r.sources or {r.key[:3]} for r in replicas)),
         )
         for replica in replicas:
             self._delete(replica.key, "merged")

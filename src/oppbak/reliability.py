@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     from .model import DataItem, VersionIndex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelEstimate:
     """Probability that a fragment saved on a terminal now is retrievable later."""
 
@@ -54,7 +54,7 @@ def _bump(table: tuple[float, ...], k: int, p: float, m: int) -> tuple[float, ..
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReliabilityTable:
     """The k+1 running probabilities for one item version.
 

@@ -1,14 +1,15 @@
 """Declarative world description for simulation runs.
 
 A scenario is a single JSON document mirroring ``ScenarioConfig``.
-Unknown keys and values of the wrong type anywhere in the document are a
-hard error, so a typo in an experiment file fails loudly at load time.
+Unknown keys, values of the wrong type and NaN or infinite numbers in the
+document are a hard error, so a typo in an experiment file fails loudly.
 Every section may be omitted to take its defaults.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from functools import cache
 from pathlib import Path
@@ -157,6 +158,8 @@ def _build(cls: type, data: Any, where: str) -> Any:
         if is_dataclass(hint):
             kwargs[name] = _build(hint, value, path)
         elif _type_ok(value, hint):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{path}: expected a finite number, got {value}")
             kwargs[name] = value
         else:
             names = [t.__name__.replace("NoneType", "null") for t in get_args(hint) or (hint,)]

@@ -37,7 +37,7 @@ class TerminalHandle(Protocol):
     def save(self, fragment: Fragment, item: DataItem, declared_success: float) -> bool: ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SaveOutcome:
     """Record of one completed fragment transfer during a meeting."""
 

@@ -75,7 +75,7 @@ _BANDS = ((0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0))
 # -- events ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EncounterEvent:
     time: float
     a: str
@@ -84,7 +84,7 @@ class EncounterEvent:
     bandwidth: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InternetWindowEvent:
     time: float
     terminal: str
@@ -92,20 +92,20 @@ class InternetWindowEvent:
     bandwidth: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataProducedEvent:
     time: float
     owner: str
     item: DataItem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TerminalFailureEvent:
     time: float
     terminal: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RestoreAttemptEvent:
     time: float
     owner: str
@@ -426,6 +426,7 @@ class Simulation:
         self.tables = _Tables(self.index, queues)
         self.fragment_sets: dict[VersionKey, FragmentSet] = {}
         self.owned_ids: dict[str, list[str]] = {t: [] for t in self.producers}
+        # uploaded fragments of each partly uploaded version; nothing reads a served one's
         self.server_fragments: dict[VersionKey, dict[int, Fragment]] = {}
         self.bytes_to_peers = 0
         self.bytes_to_server = 0
@@ -504,9 +505,10 @@ class Simulation:
             self._trace("DELETE", terminal=terminal, item=key, frag=index, reason=reason)
         return hook
 
-    def _record_save(self, peer: str, replica: Replica, fates: dict[VersionKey, bool]) -> None:
-        """Book a replica as `peer`'s store accepts it; `fates` is the session's draw per version."""
-        key, index, size = replica.fragment.key, replica.fragment.index, replica.size_bytes
+    def _record_save(self, peer: str, key: VersionKey, replica: Replica,
+                     fates: dict[VersionKey, bool]) -> None:
+        """Book a replica of `key` as `peer`'s store accepts it; `fates`: the session's draws."""
+        index, size = replica.fragment.index, replica.size_bytes
         if key not in fates:
             fates[key] = self._channels.random() < self.true_retrieval
         replica.fate = fates[key]
@@ -597,6 +599,7 @@ class Simulation:
 
     def _mark_served(self, key: VersionKey) -> None:
         self.index.mark_on_server(key)
+        self.server_fragments.pop(key, None)
         self.tables.notice_dependents(key)
 
     def _on_window(self, event: InternetWindowEvent) -> None:
@@ -640,14 +643,12 @@ class Simulation:
                 continue
             if replica.state is ReplicaState.OUTDATED and not self._pin_check(*key):
                 continue  # superseded and protecting nothing: not worth budget
-            have = self.server_fragments.setdefault(key, {})
-            if replica.fragment.index in have:
-                continue
-            size = replica.size_bytes
-            if size > budget:
+            have, size = self.server_fragments.get(key, {}), replica.size_bytes
+            if replica.fragment.index in have or size > budget:
                 continue
             budget -= size
             have[replica.fragment.index] = replica.fragment
+            self.server_fragments[key] = have
             self.bytes_to_server += size
             uploaded_ids.add(key[0])
             self._trace("UPLOAD_FRAG", size, from_=terminal, item=key, frag=replica.fragment.index)
@@ -895,12 +896,10 @@ class _PeerTerminal:
             mergeable=item.mergeable,
             stream=item.stream,
         )
-        store = self._sim.stores[self.terminal_id]
-        if not store.accept(fragment, meta, self._sim.now):
-            return False
-        replica = store.get((item.owner, *fragment.key, fragment.index))
-        self._sim._record_save(self.terminal_id, replica, self._fates)
-        return True
+        replica = self._sim.stores[self.terminal_id].accept(fragment, meta, self._sim.now)
+        if replica is not None:
+            self._sim._record_save(self.terminal_id, item.key, replica, self._fates)
+        return replica is not None
 
 
 def run(config: ScenarioConfig, trace: Optional[TraceSink] = None) -> MetricsReport:

@@ -51,6 +51,12 @@ class TestRunCommand:
         assert main(["run", "--scenario", str(path)]) == 2
         assert "terminals.count" in capsys.readouterr().err
 
+    def test_non_finite_scenario_value_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"mobility": {"bandwidth_bytes_per_s": Infinity}}')
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert "mobility.bandwidth_bytes_per_s" in capsys.readouterr().err
+
     def test_seed_override_is_byte_identical(self, scenario_path, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         tr1, tr2 = tmp_path / "a.trace", tmp_path / "b.trace"

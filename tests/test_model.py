@@ -1,4 +1,6 @@
+import dataclasses
 import graphlib
+import pickle
 import random
 
 import pytest
@@ -16,8 +18,18 @@ from oppbak.model import (
     detect_conflict,
     propagate_priority,
 )
+from oppbak.peer import Replica, ReplicaMetadata
+from oppbak.reliability import ChannelEstimate, ReliabilityTable
+from oppbak.scheduler import SaveOutcome
+from oppbak.sim import (
+    DataProducedEvent,
+    EncounterEvent,
+    InternetWindowEvent,
+    RestoreAttemptEvent,
+    TerminalFailureEvent,
+)
 
-from conftest import make_item
+from conftest import make_fragment, make_item
 
 
 class TestDataItem:
@@ -36,6 +48,65 @@ class TestDataItem:
         assert not item.expired(99.9)
         assert item.expired(100.0)
         assert not make_item().expired(1e9)
+
+
+def _frozen_records() -> list:
+    """One of each frozen value record the engine keeps per version, save or event."""
+    item = make_item("a", version=2, deps=(("a", 1),))
+    return [
+        item,
+        make_fragment("a", version=2),
+        ReplicaMetadata(owner="t00", priority=0.5, declared_success=0.4),
+        ReliabilityTable.fresh(2),
+        ChannelEstimate(0.9),
+        SaveOutcome("a", 2, 0, 300, True),
+        EncounterEvent(1.0, "t00", "t01", 2.0, 3.0),
+        InternetWindowEvent(1.0, "t00", 2.0, 3.0),
+        DataProducedEvent(1.0, "t00", item),
+        TerminalFailureEvent(1.0, "t00"),
+        RestoreAttemptEvent(1.0, "t00"),
+    ]
+
+
+class TestCompactRecords:
+    """The records held per version, save, replica and event carry no instance dict."""
+
+    @pytest.mark.parametrize("record", _frozen_records(), ids=lambda r: type(r).__name__)
+    def test_frozen_record_is_slotted_hashable_and_replaceable(self, record):
+        assert not hasattr(record, "__dict__")
+        for copied in (dataclasses.replace(record), pickle.loads(pickle.dumps(record))):
+            assert copied == record and hash(copied) == hash(record)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, dataclasses.fields(record)[0].name, None)
+
+    def test_replica_is_slotted(self):
+        meta = ReplicaMetadata(owner="t00", priority=0.5, declared_success=0.4)
+        assert not hasattr(Replica(make_fragment(), meta, 0.0, 100), "__dict__")
+
+    def test_key_is_built_once(self):
+        item = make_item("a", version=3)
+        assert item.key == ("a", 3)
+        assert item.key is item.key
+        assert pickle.loads(pickle.dumps(item)).key == ("a", 3)
+
+    def test_key_takes_no_part_in_equality_hash_or_repr(self):
+        item = make_item("a", version=3)
+        compared = tuple(getattr(item, f.name) for f in dataclasses.fields(item) if f.compare)
+        assert "key" not in {f.name for f in dataclasses.fields(item) if f.compare}
+        assert hash(item) == hash(compared)
+        assert "key=" not in repr(item)
+
+    def test_set_priority_result_keeps_key_equality_and_hash(self):
+        index = VersionIndex()
+        item = make_item("a", version=1, priority=0.5)
+        index.register(item)
+        index.set_priority(item.key, 0.9)
+        raised = index.get(item.key)
+        assert raised.key == ("a", 1) and raised.priority == 0.9
+        assert raised == dataclasses.replace(item, priority=0.9) != item
+        assert hash(raised) == hash(dataclasses.replace(item, priority=0.9))
+        lowered = dataclasses.replace(raised, priority=0.5)
+        assert lowered == item and hash(lowered) == hash(item) and lowered.key == item.key
 
 
 class TestAgglomerate:

@@ -62,6 +62,21 @@ class TestAccept:
         assert store.free_bytes(now=60.0) == 400
         assert store.accept(frag("new", wire_size=250), meta(), now=60.0)
 
+    def test_accept_returns_the_stored_replica(self):
+        store = ReplicaStore("p", 1000)
+        replica = store.accept(frag(), meta(), now=0.0)
+        assert store.get(replica.key) is replica
+        assert replica.sources == frozenset()  # a single fragment's replica is its own source
+
+    def test_refusals_return_none(self):
+        store = ReplicaStore("p", 1000, per_owner_cap=0.5)
+        assert store.accept(frag("a", wire_size=400), meta("hog"), now=0.0) is not None
+        assert store.accept(frag("a", wire_size=400), meta("hog"), now=0.0) is None  # duplicate
+        assert store.accept(frag("b", wire_size=200), meta("hog"), now=0.0) is None  # owner cap
+        assert store.accept(frag("c", wire_size=400), meta("other"), now=0.0) is not None
+        assert store.accept(frag("d", wire_size=300), meta("third"), now=0.0) is None  # quota
+        assert store.used_bytes == 800
+
     def test_duplicate_rejected(self):
         store = ReplicaStore("p", 1000)
         assert store.accept(frag(), meta(), now=0.0)
@@ -419,6 +434,18 @@ class TestMerge:
         store.merge([("t00", "log1", 1, 0), ("t01", "log2", 1, 0)], now=1.0)
         assert store.restore_query("log1") == {1: {0}}
         assert store.restore_query("log2") == {1: {0}}
+
+
+    def test_merging_a_merged_replica_keeps_every_source(self):
+        store = ReplicaStore("p", 10**6)
+        for item_id, entry in (("log1", b"a"), ("log2", b"b"), ("log3", b"c")):
+            store.accept(*self._log(item_id, [entry]), now=0.0)
+        first = store.merge([("t00", "log1", 1, 0), ("t00", "log2", 1, 0)], now=1.0)
+        merged = store.get(store.merge([first, ("t00", "log3", 1, 0)], now=2.0))
+        assert merged.sources == {("t00", "log1", 1), ("t00", "log2", 1), ("t00", "log3", 1)}
+        assert len(store) == 1
+        for item_id in ("log1", "log2", "log3"):
+            assert store.restore_query(item_id) == {1: {0}}
 
 
 class TestRestoreQuery:

@@ -75,6 +75,29 @@ class TestStrictParsing:
         assert config.terminals.true_retrieval is None
         assert config.workload.lifetime_s == 600
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            (None, "horizon_s"),
+            ("workload", "items_per_hour"),
+            ("workload", "lifetime_s"),
+            ("terminals", "true_retrieval"),
+            ("mobility", "bandwidth_bytes_per_s"),
+            ("eviction", "w_age"),
+        ],
+    )
+    def test_non_finite_numbers_are_rejected(self, tmp_path, section, field, value):
+        # Python's json reads NaN, Infinity and -Infinity as floats, and writes them back
+        document = {field: value} if section is None else {section: {field: value}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(document))
+        where = field if section is None else f"{section}.{field}"
+        with pytest.raises(ConfigError, match=rf"^{where}: expected a finite number"):
+            config_from_dict(document)
+        with pytest.raises(ConfigError, match=rf"^{where}: expected a finite number"):
+            load_scenario(path)
+
     def test_round_trip(self):
         config = config_from_dict(
             {"seed": 9, "terminals": {"count": 5, "producers": 2}}

@@ -12,6 +12,8 @@ recomputation from scratch:
 * every store's per-owner item index equals a full scan of its keys;
 * the version index's peer holdings equal the union of store contents;
 * every held replica carries a drawn channel fate;
+* the simulator keeps uploaded fragments only for versions partly
+  uploaded: not on the server, with 1 to k - 1 fragments there;
 * no pinned replica is ever deleted as useless;
 * every backup queue, once its pending notices are applied, caches each
   entry's current deficit, and its next meeting pick is the linear-scan
@@ -209,6 +211,13 @@ class SimulationMachine(RuleBasedStateMachine):
         for terminal, store in self.sim.stores.items():
             for replica in store.replicas():
                 assert replica.fate is not None, (terminal, replica.key)
+
+    @invariant()
+    def server_fragments_only_while_partly_uploaded(self):
+        index = self.sim.index
+        for key, fragments in self.sim.server_fragments.items():
+            assert not index.is_on_server(key), key
+            assert 1 <= len(fragments) < index.get(key).k, key
 
     @invariant()
     def queue_matches_linear_scan(self):
