@@ -36,8 +36,9 @@ print(f"final v2 reaches the server;  pinned: {index.pinned(('final', 1))}")
 # -- restoring stale data while newer copies exist is a conflict ------------------
 index.register(DataItem(id="final", owner="me", size_bytes=250, priority=0.95,
                         version=3, temporal_deps=(("final", 2),)))
-index.record_peer_holding(("final", 3), "stranger-42", 0)
-report = detect_conflict(index.records_for("final"), Location.SERVER, 2)
+# which peers hold what is the peers' own record; the check is told v3 sits on one
+holders = {("final", 3): ["stranger-42"]}
+report = detect_conflict(index.records_for("final", holders), Location.SERVER, 2)
 print(f"\nrestored v{report.restored_version} from the {report.restored_from.value} "
       f"while v{report.newer_version} sits on {report.newer_peers}:")
 print(f"  -> conflict on {report.item_id!r} (detection only, resolution is the app's job)")

@@ -2,9 +2,9 @@
 
 Every other layer builds on the types here: an owner's data is a set of
 versioned items connected by temporal dependency edges, each item carries
-an (n, k) fragmentation plan, and a ``VersionIndex`` tracks where every
-version currently lives (peers, server) so that pinning and conflict
-checks can be answered from one place.
+an (n, k) fragmentation plan, and a ``VersionIndex`` tracks which
+versions have reached the server, which answers pinning. Which peers hold
+a version is the peers' own record; a conflict check is handed it.
 """
 
 from __future__ import annotations
@@ -110,12 +110,12 @@ class Location(Enum):
 
 @dataclass(frozen=True)
 class VersionRecord:
-    """Snapshot of where one version currently lives."""
+    """Snapshot of where one version currently lives: the server, and the peers holding it."""
 
     item_id: str
     version: int
     on_server: bool
-    peer_holdings: Mapping[str, frozenset[int]]
+    holders: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ class ConflictReport:
 
 
 class VersionIndex:
-    """Single-writer registry of item versions, dependencies, and placement.
+    """Single-writer registry of item versions, dependencies, and server placement.
 
     Registration order doubles as creation order: a version may only
     depend on versions that are already present, which keeps the
@@ -143,7 +143,6 @@ class VersionIndex:
         self._rdeps: dict[VersionKey, set[VersionKey]] = {}
         self._versions: dict[str, list[int]] = {}  # ascending, per item id
         self._on_server: set[VersionKey] = set()
-        self._holdings: dict[VersionKey, dict[str, set[int]]] = {}
 
     # -- registration and lookup -------------------------------------
 
@@ -208,28 +207,6 @@ class VersionIndex:
     def is_on_server(self, key: VersionKey) -> bool:
         return key in self._on_server
 
-    def record_peer_holding(self, key: VersionKey, terminal: str, index: int) -> None:
-        self.get(key)
-        self._holdings.setdefault(key, {}).setdefault(terminal, set()).add(index)
-
-    def drop_peer_holding(
-        self, key: VersionKey, terminal: str, index: Optional[int] = None
-    ) -> None:
-        per_terminal = self._holdings.get(key)
-        if per_terminal is None or terminal not in per_terminal:
-            return
-        if index is None:
-            del per_terminal[terminal]
-        else:
-            per_terminal[terminal].discard(index)
-            if not per_terminal[terminal]:
-                del per_terminal[terminal]
-
-    def peer_holdings(self, key: VersionKey) -> dict[str, frozenset[int]]:
-        return {
-            t: frozenset(idxs) for t, idxs in self._holdings.get(key, {}).items() if idxs
-        }
-
     # -- dependency queries --------------------------------------------
 
     def _deps_of(self, key: VersionKey) -> tuple[VersionKey, ...]:
@@ -264,27 +241,14 @@ class VersionIndex:
             return False
         return not self.transitive_dependents(key) <= self._on_server
 
-    def snapshot_record(
-        self, key: VersionKey, alive: Optional[Iterable[str]] = None
-    ) -> VersionRecord:
-        item_id, version = key
-        self.get(key)
-        holdings = self.peer_holdings(key)
-        if alive is not None:
-            keep = set(alive)
-            holdings = {t: idxs for t, idxs in holdings.items() if t in keep}
-        return VersionRecord(
-            item_id=item_id,
-            version=version,
-            on_server=self.is_on_server(key),
-            peer_holdings=holdings,
-        )
-
     def records_for(
-        self, item_id: str, alive: Optional[Iterable[str]] = None
+        self, item_id: str, holders: Mapping[VersionKey, Iterable[str]]
     ) -> list[VersionRecord]:
+        """Every version of an item, oldest first; `holders` names each one's peers."""
         return [
-            self.snapshot_record((item_id, v), alive) for v in self.versions_of(item_id)
+            VersionRecord(item_id, v, (item_id, v) in self._on_server,
+                          tuple(holders.get((item_id, v), ())))
+            for v in self.versions_of(item_id)
         ]
 
 
@@ -385,7 +349,7 @@ def detect_conflict(
         raise UsageError(f"records span multiple item ids: {sorted(item_ids)}")
     newer = [r for r in recs if r.version > current_version]
     if restored_from is Location.SERVER:
-        hits = [r for r in newer if r.peer_holdings]
+        hits = [r for r in newer if r.holders]
         where = Location.PEER
     else:
         hits = [r for r in newer if r.on_server]
@@ -399,5 +363,5 @@ def detect_conflict(
         restored_from=restored_from,
         newer_version=top.version,
         newer_location=where,
-        newer_peers=tuple(sorted(top.peer_holdings)),
+        newer_peers=tuple(sorted(top.holders)),
     )

@@ -100,7 +100,7 @@ class ReplicaStore:
 
     `pin_check(item_id, version)` answers whether an old version must be
     retained; by default nothing is pinned. `on_delete(replica, reason)`
-    fires for every removal so callers can mirror placement state.
+    fires for every removal so callers can follow occupancy and log it.
 
     Besides the replicas, the store keeps four indexes up to date on
     every insertion and deletion: a heap of (lifetime, key) for expiry,

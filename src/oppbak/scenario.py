@@ -1,16 +1,16 @@
 """Declarative world description for simulation runs.
 
 A scenario is a single JSON document mirroring ``ScenarioConfig``.
-Unknown keys, values of the wrong type and NaN or infinite numbers in the
-document are a hard error, so a typo in an experiment file fails loudly.
-Every section may be omitted to take its defaults.
+Unknown keys and values of the wrong type are a hard error, so a typo in
+an experiment file fails loudly; `validate()` refuses NaN and infinities
+in any config. Every section may be omitted to take its defaults.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
 from typing import Any, Optional, Union, get_args, get_type_hints
@@ -87,6 +87,7 @@ class ScenarioConfig:
     eviction: EvictionSpec = field(default_factory=EvictionSpec)
 
     def validate(self) -> "ScenarioConfig":
+        _check_finite(self)
         t, w, m, i, f = self.terminals, self.workload, self.mobility, self.infrastructure, self.failures
         checks = [
             (t.count >= 2, "terminals.count must be >= 2"),
@@ -128,6 +129,16 @@ class ScenarioConfig:
         return asdict(self)
 
 
+def _check_finite(spec: Any, where: str = "") -> None:
+    """Every float in a document class and its sections must be finite; `where` prefixes paths."""
+    for f in fields(spec):
+        value, path = getattr(spec, f.name), f"{where}{f.name}"
+        if is_dataclass(value):
+            _check_finite(value, f"{path}.")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value}")
+
+
 @cache
 def _field_types(cls: type) -> dict[str, Any]:
     """Field name -> annotation of a document class, resolved once per class."""
@@ -158,8 +169,6 @@ def _build(cls: type, data: Any, where: str) -> Any:
         if is_dataclass(hint):
             kwargs[name] = _build(hint, value, path)
         elif _type_ok(value, hint):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{path}: expected a finite number, got {value}")
             kwargs[name] = value
         else:
             names = [t.__name__.replace("NoneType", "null") for t in get_args(hint) or (hint,)]

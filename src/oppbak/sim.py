@@ -64,6 +64,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 TraceSink = Callable[[str], None]
+# version -> live holder -> its replicas of the version, as `Simulation._placement` reads them
+Placement = dict[VersionKey, dict[str, list[Replica]]]
 
 OUTCOME_SAFE = "safe_on_server"
 OUTCOME_RECOVERABLE = "recoverable_from_peers"
@@ -500,7 +502,6 @@ class Simulation:
     def _deletion_hook(self, terminal: str):
         def hook(replica, reason: str) -> None:
             key, index = replica.fragment.key, replica.fragment.index
-            self.index.drop_peer_holding(key, terminal, index)
             self._record_occupancy(terminal)
             self._trace("DELETE", terminal=terminal, item=key, frag=index, reason=reason)
         return hook
@@ -512,7 +513,6 @@ class Simulation:
         if key not in fates:
             fates[key] = self._channels.random() < self.true_retrieval
         replica.fate = fates[key]
-        self.index.record_peer_holding(key, peer, index)
         self.bytes_to_peers += size
         self._trace("SAVE", size, from_=replica.meta.owner, to=peer, item=key, frag=index)
 
@@ -689,29 +689,32 @@ class Simulation:
         items = (self.index.get((i, self.index.latest_version(i))) for i in item_ids)
         return [item for item in items if not item.expired(self.now)]
 
-    def _retrievable_indices(self, key: VersionKey) -> dict[int, Fragment]:
-        """Fragments reachable right now: server indices ascending, then peers'."""
-        on_server = self.server_fragments.get(key, {})
-        found = {idx: on_server[idx] for idx in sorted(on_server)}
-        owner = self.index.get(key).owner
-        for terminal, indices in sorted(self.index.peer_holdings(key).items()):
-            if not self.alive[terminal]:
-                continue
-            store = self.stores[terminal]
-            for idx in sorted(indices):
-                if idx not in found and (replica := store.get((owner, *key, idx))).fate:
-                    found[idx] = replica.fragment
-        return found
+    def _placement(self) -> Placement:
+        """Replicas on live peers per version, in one pass over the stores: holders
+        in name order, each one's replicas in index order, whatever the set order."""
+        view: Placement = {}
+        for terminal in self.names:
+            if self.alive[terminal]:
+                for replica in self.stores[terminal].replicas():
+                    holders = view.setdefault(replica.fragment.key, {})
+                    holders.setdefault(terminal, []).append(replica)
+        return view
 
-    def _restorable(self, key: VersionKey, memo: dict[VersionKey, bool]) -> bool:
+    def _restorable(self, key: VersionKey, memo: dict[VersionKey, bool],
+                    placement: Placement) -> bool:
         if key in memo:
             return memo[key]
         memo[key] = False
         item = self.index.get(key)
         if self.index.is_on_server(key):
             own_ok = True
-        else:
-            available = self._retrievable_indices(key)
+        else:  # the fragments reachable now: server indices ascending, then live peers'
+            on_server = self.server_fragments.get(key, {})
+            available = {idx: on_server[idx] for idx in sorted(on_server)}
+            for replicas in placement.get(key, {}).values():
+                for replica in replicas:
+                    if replica.fragment.index not in available and replica.fate:
+                        available[replica.fragment.index] = replica.fragment
             own_ok = len(available) >= item.k
             if own_ok and self.config.payload_mode:
                 rebuilt = reconstruct(list(available.values())[: item.k])
@@ -719,22 +722,22 @@ class Simulation:
                 data = self.fragment_sets[key].data  # systematic: the payload's chunks
                 if rebuilt != b"".join(f.payload for f in data)[: item.size_bytes]:
                     raise IntegrityError(f"reconstruction of {key} does not match the original")
-        ok = own_ok and all(self._restorable(d, memo) for d in item.temporal_deps)
+        ok = own_ok and all(self._restorable(d, memo, placement) for d in item.temporal_deps)
         memo[key] = ok
         return ok
 
     def _on_restore(self, event: RestoreAttemptEvent) -> None:
         owner = event.owner
         memo: dict[VersionKey, bool] = {}
+        placement = self._placement()
         for key, predicted in self.pending_restores.pop(owner, []):
-            realized = self._restorable(key, memo)
+            realized = self._restorable(key, memo, placement)
             self.episodes.append((predicted, 1 if realized else 0))
-        alive_now = [t for t in self.names if self.alive[t]]
         for item_id in sorted(self.owned_ids.get(owner, [])):
             versions = self.index.versions_of(item_id)
             best = None
             for version in versions:
-                if self._restorable((item_id, version), memo):
+                if self._restorable((item_id, version), memo, placement):
                     best = version
             if best is None:
                 self._trace("RESTORE_FAIL", owner=owner, item=item_id)
@@ -745,9 +748,7 @@ class Simulation:
                 else Location.PEER
             )
             self._trace("RESTORE", owner=owner, item=(item_id, best), source=restored_from.value)
-            report = detect_conflict(
-                self.index.records_for(item_id, alive=alive_now), restored_from, best
-            )
+            report = detect_conflict(self.index.records_for(item_id, placement), restored_from, best)
             if report is not None:
                 self.conflicts.append(
                     {
@@ -823,11 +824,12 @@ class Simulation:
         """
         self.now = self.config.horizon_s
         memo: dict[VersionKey, bool] = {}
+        placement = self._placement()
         outcomes: dict[str, str] = {}
         for key in sorted(self.index.keys()):
             if self.index.is_on_server(key):
                 outcome = OUTCOME_SAFE
-            elif self._restorable(key, memo):
+            elif self._restorable(key, memo, placement):
                 outcome = OUTCOME_RECOVERABLE
             else:
                 outcome = OUTCOME_LOST

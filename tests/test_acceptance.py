@@ -278,9 +278,9 @@ def test_c06_restore_conflict_detected_exactly_once():
     index.register(make_item("doc", version=1))
     index.register(make_item("doc", version=2, deps=(("doc", 1),)))
     index.mark_on_server(("doc", 1))
-    index.record_peer_holding(("doc", 2), "t07", 0)
+    holders = {("doc", 2): ["t07"]}  # v2 sits on t07
     reports = [
-        detect_conflict(index.records_for("doc"), Location.SERVER, 1)
+        detect_conflict(index.records_for("doc", holders), Location.SERVER, 1)
         for _ in range(1)
     ]
     assert len(reports) == 1 and reports[0] is not None
@@ -292,7 +292,7 @@ def test_c06_restore_conflict_detected_exactly_once():
     assert report.newer_location is Location.PEER
     assert report.newer_peers == ("t07",)
     # the same placement with the newer version restored raises nothing
-    assert detect_conflict(index.records_for("doc"), Location.SERVER, 2) is None
+    assert detect_conflict(index.records_for("doc", holders), Location.SERVER, 2) is None
     verdict(6, "one report naming v1@server against v2@peer")
 
 

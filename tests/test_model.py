@@ -213,21 +213,6 @@ class TestVersionIndex:
             graph = {key: index.get(key).temporal_deps for key in index.keys()}
             assert len(list(graphlib.TopologicalSorter(graph).static_order())) == len(keys)
 
-    def test_holdings_bookkeeping(self, index: VersionIndex):
-        item = make_item()
-        index.register(item)
-        index.record_peer_holding(item.key, "t05", 0)
-        index.record_peer_holding(item.key, "t05", 2)
-        index.record_peer_holding(item.key, "t06", 1)
-        assert index.peer_holdings(item.key) == {
-            "t05": frozenset({0, 2}),
-            "t06": frozenset({1}),
-        }
-        index.drop_peer_holding(item.key, "t05", 0)
-        index.drop_peer_holding(item.key, "t06", 1)
-        assert index.peer_holdings(item.key) == {"t05": frozenset({2})}
-        index.drop_peer_holding(item.key, "t99", 4)  # unknown holder: no-op
-
 
 class TestPinning:
     def test_dependent_off_server_pins(self, index: VersionIndex):
@@ -375,8 +360,7 @@ class TestDetectConflict:
     def test_newer_on_peer_old_from_server(self):
         index = self._two_version_index()
         index.mark_on_server(("a", 1))
-        index.record_peer_holding(("a", 2), "t03", 0)
-        report = detect_conflict(index.records_for("a"), Location.SERVER, 1)
+        report = detect_conflict(index.records_for("a", {("a", 2): ["t03"]}), Location.SERVER, 1)
         assert isinstance(report, ConflictReport)
         assert report.restored_version == 1
         assert report.newer_version == 2
@@ -387,27 +371,26 @@ class TestDetectConflict:
         index = VersionIndex()
         index.register(make_item(version=1))
         index.mark_on_server(("a", 1))
-        assert detect_conflict(index.records_for("a"), Location.SERVER, 1) is None
+        assert detect_conflict(index.records_for("a", {}), Location.SERVER, 1) is None
 
     def test_same_version_everywhere_no_conflict(self):
         index = VersionIndex()
         index.register(make_item(version=1))
         index.mark_on_server(("a", 1))
-        index.record_peer_holding(("a", 1), "t02", 0)
-        assert detect_conflict(index.records_for("a"), Location.SERVER, 1) is None
+        holders = {("a", 1): ["t02"]}
+        assert detect_conflict(index.records_for("a", holders), Location.SERVER, 1) is None
 
     def test_vice_versa_direction(self):
         index = self._two_version_index()
-        index.record_peer_holding(("a", 1), "t02", 0)
         index.mark_on_server(("a", 2))
-        report = detect_conflict(index.records_for("a"), Location.PEER, 1)
+        report = detect_conflict(index.records_for("a", {("a", 1): ["t02"]}), Location.PEER, 1)
         assert report is not None
         assert report.newer_location is Location.SERVER
 
     def test_unknown_item_errors(self):
         index = VersionIndex()
         with pytest.raises(UnknownItemError):
-            index.records_for("ghost")
+            index.records_for("ghost", {})
         with pytest.raises(UnknownItemError):
             detect_conflict([], Location.SERVER, 1)
 

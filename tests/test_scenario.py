@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from oppbak.scenario import (
     config_from_dict,
     load_scenario,
 )
+from oppbak.sim import Simulation
 
 
 class TestStrictParsing:
@@ -97,6 +99,31 @@ class TestStrictParsing:
             config_from_dict(document)
         with pytest.raises(ConfigError, match=rf"^{where}: expected a finite number"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            (None, "horizon_s"),
+            (None, "restore_delay_s"),
+            ("workload", "lifetime_s"),
+            ("terminals", "true_retrieval"),
+            ("infrastructure", "window_duration_mean_s"),
+            ("eviction", "per_owner_cap"),
+        ],
+    )
+    def test_non_finite_numbers_from_python_are_rejected(self, section, field, value):
+        # built without a document: validate() is the only check, and a run would not end
+        base = ScenarioConfig()
+        if section is None:
+            config = replace(base, **{field: value})
+        else:
+            config = replace(base, **{section: replace(getattr(base, section), **{field: value})})
+        where = field if section is None else f"{section}.{field}"
+        with pytest.raises(ConfigError, match=rf"^{where}: expected a finite number"):
+            config.validate()
+        with pytest.raises(ConfigError, match=rf"^{where}: expected a finite number"):
+            Simulation(config)
 
     def test_round_trip(self):
         config = config_from_dict(

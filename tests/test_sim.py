@@ -79,6 +79,28 @@ def item_spec(item_id="t00/d0000", owner="t00", size=1000, priority=0.99,
     )
 
 
+def holdings(sim, key):
+    """Fragment indices of a version per terminal holding some, read from the stores."""
+    item_id, version = key
+    return {t: found for t, store in sim.stores.items()
+            if (found := store.restore_query(item_id).get(version))}
+
+
+def served_v1_then_v2_on_peers(sim, *fragments_per_peer):
+    """v1 (n = k = 1) reaches the server; v2 (n=4, k=2) then goes to each peer in turn."""
+    produce(sim, 1.0, item_spec("t00/d0000", n=1, k=1))
+    sim.process(InternetWindowEvent(time=5.0, terminal="t00", duration=1.0, bandwidth=10**6))
+    produce(sim, 6.0, item_spec("t00/d0000", version=2, n=4, k=2, deps=(("t00/d0000", 1),)))
+    for i, (peer, count) in enumerate(fragments_per_peer):
+        meet(sim, 10.0 + i, "t00", peer, count * fragment_wire_size(1000, 2))
+
+
+def v1_restored_over(*newer_peers):
+    """The conflict of v1 restored from the server while v2 sits on `newer_peers`."""
+    return {"item_id": "t00/d0000", "restored_version": 1, "restored_from": "server",
+            "newer_version": 2, "newer_location": "peer", "newer_peers": list(newer_peers)}
+
+
 class TestScriptedRuns:
     def test_no_backup_paths_means_lost(self):
         sim = Simulation(quiet_config())
@@ -132,7 +154,7 @@ class TestScriptedRuns:
         replicas = sim.stores["t01"].replicas()
         assert [r.fragment.index for r in replicas] == [2, 3]
         assert all(r.fate is True for r in replicas)
-        assert sim.index.peer_holdings(("t00/d0000", 1)) == {"t01": frozenset({2, 3})}
+        assert holdings(sim, ("t00/d0000", 1)) == {"t01": {2, 3}}
         moves = [(line.split()[1], line.split("frag=")[1].split()[0])
                  for line in lines if "frag=" in line]
         assert moves == [("SAVE", "0"), ("SAVE", "1"), ("DELETE", "0"), ("DELETE", "1"),
@@ -149,14 +171,14 @@ class TestScriptedRuns:
         meet(sim, 10.0, "t00", "t01", fragment_wire_size(1000, 2))
         meet(sim, 20.0, "t00", "t02", 2 * fragment_wire_size(1000, 2))
         sim.process(TerminalFailureEvent(time=30.0, terminal="t01"))
-        assert sim.index.peer_holdings(key) == {"t01": {0}, "t02": {1, 2}}
-        assert sim._restorable(key, {})  # rebuilt from data 1 and parity 2
+        assert holdings(sim, key) == {"t01": {0}, "t02": {1, 2}}
+        assert sim._restorable(key, {}, sim._placement())  # rebuilt from data 1 and parity 2
         replica = sim.stores["t02"].get(("t00", *key, 2))
         flipped = bytearray(replica.fragment.payload)
         flipped[0] ^= 0x01
         replica.fragment = dataclasses.replace(replica.fragment, payload=bytes(flipped))
         with pytest.raises(IntegrityError):
-            sim._restorable(key, {})
+            sim._restorable(key, {}, sim._placement())
 
     def test_no_parity_computed_while_only_data_fragments_are_sent(self, monkeypatch):
         dispersal._encode_matrix(4, 2)  # its own construction is not parity work
@@ -235,6 +257,30 @@ class TestScriptedRuns:
         assert conflict["restored_from"] == "server"
         assert conflict["newer_version"] == 2
         assert conflict["newer_peers"] == ["t01"]
+
+    def test_conflict_names_only_live_holders(self):
+        sim = Simulation(quiet_config())
+        served_v1_then_v2_on_peers(sim, ("t01", 1), ("t02", 1))
+        assert holdings(sim, ("t00/d0000", 2)) == {"t01": {0}, "t02": {1}}
+        sim.process(TerminalFailureEvent(time=30.0, terminal="t01"))
+        fail_and_restore(sim, 100.0, "t00")
+        # one of v2's k=2 fragments is left, so the restore takes v1 from the server
+        assert sim.finish().conflicts == (v1_restored_over("t02"),)
+
+    @pytest.mark.parametrize("true_retrieval, v2_outcome, conflicts", [
+        (1.0, "recoverable_from_peers", ()),
+        (0.0, "lost", (v1_restored_over("t01"),)),
+    ])
+    def test_conflicts_read_placement_restores_read_reachable_fragments(
+        self, true_retrieval, v2_outcome, conflicts
+    ):
+        sim = Simulation(quiet_config(terminals={"true_retrieval": true_retrieval}))
+        served_v1_then_v2_on_peers(sim, ("t01", 2))
+        assert holdings(sim, ("t00/d0000", 2)) == {"t01": {0, 1}}
+        fail_and_restore(sim, 100.0, "t00")
+        report = sim.finish()
+        assert report.outcomes["t00/d0000@2"] == v2_outcome
+        assert report.conflicts == conflicts
 
     def test_window_flush_skips_oversize_items(self):
         sim = Simulation(quiet_config())

@@ -193,18 +193,12 @@ class SimulationMachine(RuleBasedStateMachine):
                 assert store.item_ids_of(owner) == expected, (terminal, owner)
 
     @invariant()
-    def holdings_match_store_contents(self):
-        held: dict = {}
+    def held_replicas_belong_to_registered_versions_of_their_owner(self):
+        index = self.sim.index
         for terminal, store in self.sim.stores.items():
             for replica in store.replicas():
-                held.setdefault(replica.fragment.key, {}).setdefault(terminal, set()).add(
-                    replica.fragment.index
-                )
-        index = self.sim.index
-        for key in index.keys():
-            expected = {t: frozenset(i) for t, i in held.pop(key, {}).items()}
-            assert index.peer_holdings(key) == expected, key
-        assert not held  # every held replica belongs to a registered version
+                key = replica.fragment.key
+                assert key in index and index.get(key).owner == replica.meta.owner, (terminal, key)
 
     @invariant()
     def held_replicas_carry_drawn_fates(self):
