@@ -1,4 +1,5 @@
-"""Backup-peer replica store: admission, usefulness notices, eviction, merging.
+"""Backup-peer replica store: admission, usefulness notices, eviction, merging,
+and the one per-owner query (`replicas_of`) that restores and owner notices read.
 
 A peer grants the backup service a fixed byte quota. Incoming fragments
 are admitted only into space left free by the last purge of replicas
@@ -108,9 +109,10 @@ class ReplicaStore:
     owner the number of replicas held per item id. A purge therefore
     costs O(due + non-live) rather than a sort of the whole store, and
     nothing when nothing is due or non-live; a notice touches only the
-    named item's replicas; and an owner's items are listed without
-    visiting anyone else's. A replica's `state` changes only through
-    `notify`, and its frozen `meta` not at all, while it is held.
+    named item's replicas; and `replicas_of` lists an owner's replicas in
+    key order without visiting anyone else's items. A replica's `state`
+    changes only through `notify`, and its frozen `meta` not at all,
+    while it is held.
     """
 
     def __init__(
@@ -180,13 +182,16 @@ class ReplicaStore:
         """Ids of the items held, sorted: a sort of the items, not of the store."""
         return sorted(self._by_item)
 
-    def item_ids_of(self, owner: str) -> list[str]:
-        """Ids of the items held for one owner, sorted: a sort of that owner's items only."""
-        return sorted(self._by_owner.get(owner, ()))
-
-    def keys_of(self, item_id: str) -> frozenset[ReplicaKey]:
-        """Keys of the replicas held for one item."""
-        return frozenset(self._by_item.get(item_id, ()))
+    def replicas_of(self, owner: str) -> list[Replica]:
+        """The replicas held for one owner, in key order, through the per-owner
+        and per-item indexes: only that owner's items are visited."""
+        replicas, by_item = self._replicas, self._by_item
+        return [
+            replicas[key]
+            for item_id in sorted(self._by_owner.get(owner, ()))
+            for key in sorted(by_item[item_id])
+            if key[0] == owner
+        ]
 
     def _pinned(self, replica: Replica) -> bool:
         return self._pin_check(replica.fragment.item_id, replica.fragment.version)
@@ -434,19 +439,6 @@ class ReplicaStore:
         return merged.key
 
     # -- queries -------------------------------------------------------------
-
-    def restore_query(self, item_id: str) -> dict[int, set[int]]:
-        """Inventory of held fragment indices per version of one item."""
-        inventory: dict[int, set[int]] = {}
-        for replica in self._replicas.values():
-            f = replica.fragment
-            if f.item_id == item_id:
-                inventory.setdefault(f.version, set()).add(f.index)
-            else:
-                for _, src_id, src_version in replica.sources:
-                    if src_id == item_id:
-                        inventory.setdefault(src_version, set()).add(f.index)
-        return inventory
 
     def recomputed_used_bytes(self) -> int:
         """Ground-truth sum for accounting checks, from the fragments themselves."""

@@ -64,7 +64,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 TraceSink = Callable[[str], None]
-# version -> live holder -> its replicas of the version, as `Simulation._placement` reads them
+# version -> live holder -> its replicas of it; `Simulation._placement` reads some owners' or all
 Placement = dict[VersionKey, dict[str, list[Replica]]]
 
 OUTCOME_SAFE = "safe_on_server"
@@ -563,13 +563,13 @@ class Simulation:
     def _send_owner_notices(self, owner: str, peer: str) -> None:
         """The owner tells a peer which of its held versions are superseded.
 
-        Only the items the peer holds for this owner are visited, in id
-        order, through the store's per-owner index.
+        Only the replicas the peer holds for this owner are visited, in
+        key order, so each item's last one is its newest held version.
         """
         store = self.stores[peer]
-        for item_id in store.item_ids_of(owner):
-            held = [version for who, _, version, _ in store.keys_of(item_id) if who == owner]
-            if max(held) >= (latest := self.index.latest_version(item_id)):
+        newest_held = {r.fragment.item_id: r.fragment.version for r in store.replicas_of(owner)}
+        for item_id, held in newest_held.items():
+            if held >= (latest := self.index.latest_version(item_id)):
                 continue
             if store.notify(NoticeSource.OWNER_NOTICE, item_id, latest):
                 self._trace("NOTICE", kind="owner", from_=owner, to=peer, item=(item_id, latest))
@@ -689,13 +689,17 @@ class Simulation:
         items = (self.index.get((i, self.index.latest_version(i))) for i in item_ids)
         return [item for item in items if not item.expired(self.now)]
 
-    def _placement(self) -> Placement:
-        """Replicas on live peers per version, in one pass over the stores: holders
-        in name order, each one's replicas in index order, whatever the set order."""
+    def _placement(self, owners: Optional[list[str]] = None) -> Placement:
+        """Replicas on live peers per version: the listed owners', through each store's
+        per-owner query, or else every replica. Holders come in name order, each
+        one's replicas in index order, whatever the set order."""
         view: Placement = {}
         for terminal in self.names:
             if self.alive[terminal]:
-                for replica in self.stores[terminal].replicas():
+                store = self.stores[terminal]
+                held = store.replicas() if owners is None else [
+                    replica for owner in owners for replica in store.replicas_of(owner)]
+                for replica in held:
                     holders = view.setdefault(replica.fragment.key, {})
                     holders.setdefault(terminal, []).append(replica)
         return view
@@ -729,14 +733,16 @@ class Simulation:
     def _on_restore(self, event: RestoreAttemptEvent) -> None:
         owner = event.owner
         memo: dict[VersionKey, bool] = {}
-        placement = self._placement()
+        # only the owners in the checked versions' closure; generated chains stay in one owner
+        versions = {i: self.index.versions_of(i) for i in sorted(self.owned_ids.get(owner, []))}
+        checked = self.index.dependency_closure((i, v) for i, vs in versions.items() for v in vs)
+        placement = self._placement(sorted({owner} | {self.index.get(k).owner for k in checked}))
         for key, predicted in self.pending_restores.pop(owner, []):
             realized = self._restorable(key, memo, placement)
             self.episodes.append((predicted, 1 if realized else 0))
-        for item_id in sorted(self.owned_ids.get(owner, [])):
-            versions = self.index.versions_of(item_id)
+        for item_id, item_versions in versions.items():
             best = None
-            for version in versions:
+            for version in item_versions:
                 if self._restorable((item_id, version), memo, placement):
                     best = version
             if best is None:

@@ -118,9 +118,10 @@ class TestNotify:
         store.accept(frag("a"), meta("t00"), now=0.0)
         store.accept(frag("a"), meta("t01"), now=0.0)
         store.accept(frag("b"), meta("t01"), now=0.0)
-        assert store.item_ids_of("t00") == ["a"]
-        assert store.item_ids_of("t01") == ["a", "b"]
-        assert store.item_ids_of("t02") == []
+        assert [r.key for r in store.replicas_of("t00")] == [("t00", "a", 1, 0)]
+        assert [r.key for r in store.replicas_of("t01")] == [("t01", "a", 1, 0),
+                                                              ("t01", "b", 1, 0)]
+        assert store.replicas_of("t02") == []
         assert store.notify(NoticeSource.SERVER_NOTICE, "a", 1) == 2  # both owners' replicas
 
     def test_unheld_item_is_noop(self):
@@ -425,15 +426,17 @@ class TestMerge:
         with pytest.raises(UsageError):
             store.merge([("t00", "log1", 1, 0), ("t00", "split", 1, 0)], now=1.0)
 
-    def test_sources_preserved_for_restore_query(self):
+    def test_sources_name_each_owners_merged_version(self):
         store = ReplicaStore("p", 10**6)
         f1, m1 = self._log("log1", [b"a"])
         f2, m2 = self._log("log2", [b"b"], owner="t01")
         store.accept(f1, m1, now=0.0)
         store.accept(f2, m2, now=0.0)
-        store.merge([("t00", "log1", 1, 0), ("t01", "log2", 1, 0)], now=1.0)
-        assert store.restore_query("log1") == {1: {0}}
-        assert store.restore_query("log2") == {1: {0}}
+        merged = store.get(store.merge([("t00", "log1", 1, 0), ("t01", "log2", 1, 0)], now=1.0))
+        assert merged.sources == {("t00", "log1", 1), ("t01", "log2", 1)}
+        # held under the lowest owner, as one replica of its own item
+        assert store.replicas_of("t00") == [merged]
+        assert store.replicas_of("t01") == []
 
 
     def test_merging_a_merged_replica_keeps_every_source(self):
@@ -444,24 +447,26 @@ class TestMerge:
         merged = store.get(store.merge([first, ("t00", "log3", 1, 0)], now=2.0))
         assert merged.sources == {("t00", "log1", 1), ("t00", "log2", 1), ("t00", "log3", 1)}
         assert len(store) == 1
-        for item_id in ("log1", "log2", "log3"):
-            assert store.restore_query(item_id) == {1: {0}}
+        assert store.replicas_of("t00") == [merged]
 
 
-class TestRestoreQuery:
-    def test_inventory(self):
+class TestReplicasOf:
+    def test_key_order(self):
         store = ReplicaStore("p", 10**6)
-        store.accept(frag("a", version=1, index=0, wire_size=100), meta(), now=0.0)
-        store.accept(frag("a", version=1, index=2, wire_size=100), meta(), now=0.0)
-        assert store.restore_query("a") == {1: {0, 2}}
-        assert store.restore_query("unknown") == {}
+        for item_id, version, index in (("b", 1, 0), ("a", 2, 0), ("a", 1, 2), ("a", 1, 0)):
+            store.accept(frag(item_id, version=version, index=index, wire_size=100),
+                         meta(), now=0.0)
+        store.accept(frag("a", wire_size=100), meta("t01"), now=0.0)
+        assert [r.key for r in store.replicas_of("t00")] == [
+            ("t00", "a", 1, 0), ("t00", "a", 1, 2), ("t00", "a", 2, 0), ("t00", "b", 1, 0)]
+        assert store.replicas_of("unknown") == []
 
     def test_consistent_after_eviction(self):
         store = ReplicaStore("p", 10**6, w_size=0.0, w_res=0.0)
         store.accept(frag("a", version=1, index=0, wire_size=100), meta(), now=100.0)
         store.accept(frag("a", version=1, index=2, wire_size=100), meta(), now=0.0)
         store.evict(10**6 - 150, now=200.0)
-        assert store.restore_query("a") == {1: {0}}
+        assert [r.key for r in store.replicas_of("t00")] == [("t00", "a", 1, 0)]
 
 
 class TestAccountingProperty:
@@ -535,6 +540,6 @@ class TestAccountingProperty:
                     r.size_bytes for r in store.replicas() if r.meta.owner == owner
                 )
             for owner in (f"t{i}" for i in range(5)):
-                assert store.item_ids_of(owner) == sorted(
-                    {r.fragment.item_id for r in store.replicas() if r.meta.owner == owner}
-                )
+                assert store.replicas_of(owner) == [
+                    r for r in store.replicas() if r.meta.owner == owner
+                ]

@@ -81,9 +81,9 @@ def item_spec(item_id="t00/d0000", owner="t00", size=1000, priority=0.99,
 
 def holdings(sim, key):
     """Fragment indices of a version per terminal holding some, read from the stores."""
-    item_id, version = key
-    return {t: found for t, store in sim.stores.items()
-            if (found := store.restore_query(item_id).get(version))}
+    replicas = {t: store.replicas_of(sim.index.get(key).owner) for t, store in sim.stores.items()}
+    return {t: found for t, held in replicas.items()
+            if (found := {r.fragment.index for r in held if r.fragment.key == key})}
 
 
 def served_v1_then_v2_on_peers(sim, *fragments_per_peer):
@@ -224,14 +224,34 @@ class TestScriptedRuns:
                       deps=(("t00/d0000", 1),)),
         )
         meet(sim, 10.0, "t00", "t02", fragment_wire_size(1000, 1))
-        assert sim.stores["t01"].restore_query("t00/d0000") == {1: {0}}
-        assert sim.stores["t02"].restore_query("t00/d0000") == {2: {0}}
+        assert holdings(sim, ("t00/d0000", 1)) == {"t01": {0}}
+        assert holdings(sim, ("t00/d0000", 2)) == {"t02": {0}}
         # the dependency's holder dies; v2's own bytes stay reachable
         sim.process(TerminalFailureEvent(time=50.0, terminal="t01"))
         fail_and_restore(sim, 100.0, "t00")
         report = sim.finish()
         assert report.outcomes["t00/d0000@2"] == "lost"
         assert report.outcomes["t00/d0000@1"] == "lost"
+
+    def test_restore_reads_the_holders_of_another_owners_dependency(self):
+        """A scripted chain may cross owners: t01's version depends on t00's,
+        which only a peer holds, so t01's restore needs t00's replicas too."""
+        lines = []
+        sim = Simulation(quiet_config(terminals={"producers": 2}), trace=lines.append)
+        produce(sim, 1.0, item_spec("t00/d0000", n=1, k=1, priority=0.5))
+        meet(sim, 5.0, "t00", "t02", fragment_wire_size(1000, 1))
+        produce(sim, 6.0, item_spec("t01/d0000", owner="t01", n=1, k=1,
+                                    deps=(("t00/d0000", 1),)))
+        meet(sim, 10.0, "t01", "t02", fragment_wire_size(1000, 1))
+        assert holdings(sim, ("t00/d0000", 1)) == {"t02": {0}}
+        assert holdings(sim, ("t01/d0000", 1)) == {"t02": {0}}
+        fail_and_restore(sim, 100.0, "t01")
+        assert [line.split(maxsplit=1)[1] for line in lines if " RESTORE" in line] == [
+            "RESTORE owner=t01 item=t01/d0000@1 source=peer bytes=0"
+        ]
+        assert sim.episodes == [(pytest.approx(0.9 * 0.9), 1)]
+        assert sim.finish().outcomes == {"t00/d0000@1": "recoverable_from_peers",
+                                         "t01/d0000@1": "recoverable_from_peers"}
 
     def test_conflict_reported_on_restore(self):
         sim = Simulation(quiet_config(terminals={"quota_bytes": 10**6}))
@@ -495,32 +515,98 @@ class TestDeficitNotices:
 
 
 def test_owner_notices_read_only_the_meeting_owners_items(monkeypatch):
-    """On the 100-terminal golden scenario, cut to an hour, every item an
-    owner notice reads is one the meeting owner holds on that peer."""
+    """On the 100-terminal golden scenario, cut to an hour, an owner's
+    notices to a peer make one per-owner query of that peer's store, for
+    the meeting owner, and no full pass over it."""
     from test_golden import SCENARIOS
 
     config = config_from_dict({**SCENARIOS["t100"], "horizon_s": 3_600.0})
-    meeting: list[str] = []  # owner whose notices are being sent
-    reads: list[bool] = []  # per keys_of call: the meeting owner holds the item
-    send, keys_of = Simulation._send_owner_notices, ReplicaStore.keys_of
+    meeting: list[tuple[str, str]] = []  # (owner, peer) whose notices are being sent
+    calls: list[tuple[str, str]] = []  # per query while sending: (owner asked, peer asked)
+    sent = 0
+    send, replicas_of = Simulation._send_owner_notices, ReplicaStore.replicas_of
+    replicas = ReplicaStore.replicas
 
     def tracked_send(sim, owner, peer):
-        meeting.append(owner)
+        nonlocal sent
+        meeting.append((owner, peer))
         try:
             send(sim, owner, peer)
         finally:
             meeting.pop()
+        assert calls == [(owner, peer)]
+        calls.clear()
+        sent += 1
 
-    def tracked_keys_of(store, item_id):
-        keys = keys_of(store, item_id)
+    def tracked_replicas_of(store, owner):
+        found = replicas_of(store, owner)
         if meeting:
-            reads.append(any(who == meeting[-1] for who, _, _, _ in keys))
-        return keys
+            calls.append((owner, store.terminal_id))
+            assert all(r.meta.owner == owner for r in found)
+        return found
+
+    def tracked_replicas(store):
+        assert not meeting, "an owner notice scanned a whole store"
+        return replicas(store)
 
     monkeypatch.setattr(Simulation, "_send_owner_notices", tracked_send)
-    monkeypatch.setattr(ReplicaStore, "keys_of", tracked_keys_of)
+    monkeypatch.setattr(ReplicaStore, "replicas_of", tracked_replicas_of)
+    monkeypatch.setattr(ReplicaStore, "replicas", tracked_replicas)
     run(config)
-    assert reads and all(reads), f"{reads.count(False)} of {len(reads)} reads found nothing"
+    assert sent > 0
+
+
+def test_a_restore_visits_only_the_failed_owners_replicas(monkeypatch):
+    """Baseline scaled to 100 terminals, failures on all: each restore makes
+    one per-owner query per live store, for the failed owner, and visits
+    exactly that owner's replicas on live stores; no store is scanned whole."""
+    from test_golden import _scenario
+
+    config = config_from_dict(_scenario({
+        "seed": 1,
+        "terminals.count": 100,
+        "terminals.producers": 30,
+        "workload.items_per_hour": 30.0,
+        "mobility.encounter_rate_per_hour": 400.0,
+        "failures.targets": "all",
+    }))
+    restoring: list[str] = []
+    calls: list[tuple[str, str, int]] = []  # per query while restoring: (store, owner, replicas)
+    restores = visited = 0
+    on_restore = Simulation._on_restore
+    replicas_of, replicas = ReplicaStore.replicas_of, ReplicaStore.replicas
+
+    def tracked_on_restore(sim, event):
+        nonlocal restores, visited
+        owner = event.owner
+        live = [t for t in sim.names if sim.alive[t]]
+        held = {t: sum(r.meta.owner == owner for r in sim.stores[t].replicas()) for t in live}
+        restoring.append(owner)
+        try:
+            on_restore(sim, event)
+        finally:
+            restoring.pop()
+        assert calls == [(t, owner, held[t]) for t in live]
+        restores += 1
+        visited += sum(held.values())
+        calls.clear()
+
+    def tracked_replicas_of(store, owner):
+        found = replicas_of(store, owner)
+        if restoring:
+            calls.append((store.terminal_id, owner, len(found)))
+        return found
+
+    def tracked_replicas(store):
+        assert not restoring, "a restore scanned a whole store"
+        return replicas(store)
+
+    monkeypatch.setattr(Simulation, "_HANDLERS", {
+        **Simulation._HANDLERS, RestoreAttemptEvent: tracked_on_restore})
+    monkeypatch.setattr(ReplicaStore, "replicas_of", tracked_replicas_of)
+    monkeypatch.setattr(ReplicaStore, "replicas", tracked_replicas)
+    run(config)
+    assert restores >= 10 and visited > restores
 
 
 def busy_config(seed=7, **overrides):

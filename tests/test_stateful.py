@@ -185,12 +185,12 @@ class SimulationMachine(RuleBasedStateMachine):
             assert store.used_bytes == sum(r.size_bytes for r in store.replicas())
 
     @invariant()
-    def owner_index_matches_full_scan(self):
+    def replicas_of_matches_full_scan(self):
         for terminal, store in self.sim.stores.items():
-            keys = [replica.key for replica in store.replicas()]
+            replicas = store.replicas()
             for owner in PRODUCERS:
-                expected = sorted({item_id for who, item_id, _, _ in keys if who == owner})
-                assert store.item_ids_of(owner) == expected, (terminal, owner)
+                expected = [r for r in replicas if r.meta.owner == owner]
+                assert store.replicas_of(owner) == expected, (terminal, owner)
 
     @invariant()
     def held_replicas_belong_to_registered_versions_of_their_owner(self):
