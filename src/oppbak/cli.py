@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, TextIO, Union
 
 from .model import UsageError
 from .reliability import ReliabilityTable
@@ -20,12 +19,13 @@ from .scenario import ConfigError, load_scenario
 from .sim import BatchReport, MetricsReport, run, run_batch
 
 
-def _report_json(report: Union[MetricsReport, BatchReport]) -> str:
-    return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+def _write_json(report: Union[MetricsReport, BatchReport], out: TextIO) -> None:
+    # `json.dump` writes the encoder's chunks as they come, with no whole-document string
+    json.dump(report.to_json_dict(), out, sort_keys=True, indent=2)
+    out.write("\n")
 
 
-def _report_csv(report: Union[MetricsReport, BatchReport]) -> str:
-    out = io.StringIO()
+def _write_csv(report: Union[MetricsReport, BatchReport], out: TextIO) -> None:
     writer = csv.writer(out, lineterminator="\n")
     if isinstance(report, MetricsReport):
         writer.writerow(["metric", "value"])
@@ -40,10 +40,9 @@ def _report_csv(report: Union[MetricsReport, BatchReport]) -> str:
             writer.writerow(
                 [name, stats["mean"], stats["stdev"], stats["ci_low"], stats["ci_high"]]
             )
-    return out.getvalue()
 
 
-def _report_human(report: Union[MetricsReport, BatchReport]) -> str:
+def _write_human(report: Union[MetricsReport, BatchReport], out: TextIO) -> None:
     lines = []
     if isinstance(report, MetricsReport):
         lines.append(f"run seed={report.seed} horizon={report.horizon_s:.0f}s")
@@ -71,36 +70,36 @@ def _report_human(report: Union[MetricsReport, BatchReport]) -> str:
                 f"[{stats['ci_low']:.4f}, {stats['ci_high']:.4f}]"
             )
         lines.append(f"  pooled restore episodes {len(report.calibration_episodes)}")
-    return "\n".join(lines) + "\n"
+    out.write("\n".join(lines) + "\n")
 
 
-_FORMATTERS = {"json": _report_json, "csv": _report_csv, "human": _report_human}
+_FORMATTERS = {"json": _write_json, "csv": _write_csv, "human": _write_human}
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w") as handle:
-            handle.write(text)
+def _write_report(report: Union[MetricsReport, BatchReport], args: argparse.Namespace) -> None:
+    """Write the report in the chosen format to `--output`, opened only now, or stdout."""
+    write = _FORMATTERS[args.format]
+    if args.output:
+        with open(args.output, "w") as handle:
+            write(report, handle)
     else:
-        sys.stdout.write(text)
+        write(report, sys.stdout)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_scenario(args.scenario, seed_override=args.seed)
-    trace_lines: list[str] = []
-    sink = trace_lines.append if args.trace else None
-    report = run(config, trace=sink)
-    if args.trace:
-        with open(args.trace, "w") as handle:
-            handle.write("\n".join(trace_lines) + ("\n" if trace_lines else ""))
-    _emit(_FORMATTERS[args.format](report), args.output)
+    if args.trace:  # opened before the run, so a bad path fails first; lines go out as emitted
+        with open(args.trace, "w") as trace:
+            report = run(config, trace=lambda line: trace.write(line + "\n"))
+    else:
+        report = run(config)
+    _write_report(report, args)
     return 0
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     config = load_scenario(args.scenario, seed_override=args.seed)
-    report = run_batch(config, args.replications)
-    _emit(_FORMATTERS[args.format](report), args.output)
+    _write_report(run_batch(config, args.replications), args)
     return 0
 
 

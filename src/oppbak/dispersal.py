@@ -304,7 +304,11 @@ def reconstruct(fragments: Iterable[Fragment]) -> bytes:
         shards = [np.frombuffer(by_index[i].payload, dtype=np.uint8) for i in chosen]
         decoded = _combine(_decode_matrix(ref.n, k, tuple(chosen))[missing], shards)
         chunks.update(zip(missing, (row.tobytes() for row in decoded)))
-    return b"".join(chunks[i] for i in range(k))[: ref.original_size]
+    # one join of the chunks' bytes up to the original size; all-padding chunks are skipped
+    size = ref.original_size
+    return b"".join(
+        memoryview(chunks[i])[: size - i * chunk] for i in range(k) if i * chunk < size
+    )
 
 
 def pack_fragment(fragment: Fragment) -> bytes:

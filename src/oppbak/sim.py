@@ -41,7 +41,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
-from .dispersal import FragmentSet, reconstruct, split
+from .dispersal import FragmentSet, chunk_size, reconstruct, split
 from .model import (
     DataItem,
     Fragment,
@@ -721,10 +721,15 @@ class Simulation:
                         available[replica.fragment.index] = replica.fragment
             own_ok = len(available) >= item.k
             if own_ok and self.config.payload_mode:
-                rebuilt = reconstruct(list(available.values())[: item.k])
+                rebuilt = memoryview(reconstruct(list(available.values())[: item.k]))
                 # every fragment found came from `_fragment_for`, so the version's set exists
                 data = self.fragment_sets[key].data  # systematic: the payload's chunks
-                if rebuilt != b"".join(f.payload for f in data)[: item.size_bytes]:
+                chunk = chunk_size(item.size_bytes, item.k)
+                # byte for byte against each padded data chunk, without joining them
+                if len(rebuilt) != item.size_bytes or not all(
+                    f.payload.startswith(rebuilt[i * chunk : (i + 1) * chunk])
+                    for i, f in enumerate(data)
+                ):
                     raise IntegrityError(f"reconstruction of {key} does not match the original")
         ok = own_ok and all(self._restorable(d, memo, placement) for d in item.temporal_deps)
         memo[key] = ok
@@ -823,14 +828,20 @@ class Simulation:
         """Close the run: classify every item at `horizon_s` and report.
 
         Items are measured at the horizon even when scripted events ran past
-        it. Stores and schedulers call back into the simulation, so they are
-        released once the report exists: a finished run is then freed by
-        reference counting alone, fragment sets included, without waiting
-        for the cycle collector. A run is finished once.
+        it. Stores and schedulers are released as soon as the placement view
+        of every live replica exists, before any version is classified:
+        nothing after the view reads them, so the stores' indexes and the
+        schedulers' state are not held while the outcomes and the report are
+        built. They call back into the simulation, so releasing them also
+        lets a finished run be freed by reference counting alone, fragment
+        sets included, without waiting for the cycle collector. A run is
+        finished once.
         """
         self.now = self.config.horizon_s
         memo: dict[VersionKey, bool] = {}
         placement = self._placement()
+        self.stores.clear()
+        self.schedulers.clear()
         outcomes: dict[str, str] = {}
         for key in sorted(self.index.keys()):
             if self.index.is_on_server(key):
@@ -860,7 +871,7 @@ class Simulation:
 
         produced = len(self.index)
         saved = sum(table.fragments_saved for table in self.tables.values())
-        report = MetricsReport(
+        return MetricsReport(
             seed=self.config.seed,
             horizon_s=self.config.horizon_s,
             items_produced=produced,
@@ -877,9 +888,6 @@ class Simulation:
             calibration_episodes=tuple(self.episodes),
             occupancy={t: tuple(points) for t, points in self.occupancy.items()},
         )
-        self.stores.clear()
-        self.schedulers.clear()
-        return report
 
 
 class _PeerTerminal:

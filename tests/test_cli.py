@@ -1,10 +1,15 @@
+import csv
+import io
 import json
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from oppbak import cli
 from oppbak.cli import main
+from oppbak.scenario import load_scenario
+from oppbak.sim import EncounterEvent, MetricsReport, Simulation, run, run_batch
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src/oppbak/report.schema.json").read_text()
@@ -149,3 +154,116 @@ class TestBatchCommand:
         ]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "metric,mean,stdev,ci_low,ci_high"
+
+
+def rendering(report, fmt):
+    """The bytes each output format must hold, rendered here from the report alone."""
+    if fmt == "json":
+        return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        if isinstance(report, MetricsReport):
+            writer.writerow(["metric", "value"])
+            writer.writerows([name, getattr(report, name)] for name in report.scalar_metrics)
+            writer.writerows([f"loss_ratio[{band}]", ratio]
+                             for band, ratio in sorted(report.loss_ratio_by_band.items()))
+        else:
+            writer.writerow(["metric", "mean", "stdev", "ci_low", "ci_high"])
+            writer.writerows([name, *(stats[f] for f in ("mean", "stdev", "ci_low", "ci_high"))]
+                             for name, stats in sorted(report.metrics.items()))
+        return out.getvalue()
+    if isinstance(report, MetricsReport):
+        counts = {}
+        for outcome in report.outcomes.values():
+            counts[outcome] = counts.get(outcome, 0) + 1
+        rows = [("items produced", report.items_produced),
+                ("items measured", report.items_measured),
+                ("loss ratio", f"{report.loss_ratio:.4f}")]
+        lines = [f"run seed={report.seed} horizon={report.horizon_s:.0f}s"]
+        lines += [f"  {name:<24}{value}" for name, value in rows]
+        lines += [f"    priority {band}     {ratio:.4f}"
+                  for band, ratio in sorted(report.loss_ratio_by_band.items())]
+        lines += [f"  {name:<24}{count}" for name, count in sorted(counts.items())]
+        rows = [("fragments saved", report.fragments_saved),
+                ("bytes to peers", report.bytes_to_peers),
+                ("bytes to server", report.bytes_to_server),
+                ("conflicts", report.conflict_count),
+                ("restore episodes", len(report.calibration_episodes))]
+        lines += [f"  {name:<24}{value}" for name, value in rows]
+    else:
+        lines = [f"batch seed={report.seed} replications={report.replications}"]
+        lines += [f"  {name:<24}{stats['mean']:>14.4f}  "
+                  f"[{stats['ci_low']:.4f}, {stats['ci_high']:.4f}]"
+                  for name, stats in sorted(report.metrics.items())]
+        lines.append(f"  pooled restore episodes {len(report.calibration_episodes)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestOutputBytes:
+    """Reports and traces are written as produced; the bytes stay those of one rendering."""
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    @pytest.mark.parametrize("command", ["run", "batch"])
+    def test_output_equals_the_rendering(self, command, fmt, to_file, scenario_path,
+                                         tmp_path, capsys):
+        config = load_scenario(scenario_path)
+        report = run(config) if command == "run" else run_batch(config, 3)
+        argv = [command, "--scenario", scenario_path, "--format", fmt]
+        if command == "batch":
+            argv += ["--replications", "3"]
+        out = tmp_path / "report.out"
+        assert main(argv + (["--output", str(out)] if to_file else [])) == 0
+        written = out.read_bytes() if to_file else capsys.readouterr().out.encode()
+        assert written == rendering(report, fmt).encode()
+
+    def test_trace_file_holds_every_emitted_line(self, scenario_path, tmp_path):
+        lines = []
+        run(load_scenario(scenario_path), trace=lines.append)
+        trace = tmp_path / "run.trace"
+        assert main(["run", "--scenario", scenario_path, "--format", "json",
+                     "--output", str(tmp_path / "r.json"), "--trace", str(trace)]) == 0
+        assert lines and trace.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_batch_json_never_builds_the_whole_document(self, scenario_path, tmp_path,
+                                                        monkeypatch):
+        expected = rendering(run_batch(load_scenario(scenario_path), 3), "json")
+
+        def one_shot(self, o):
+            raise AssertionError("the report was encoded into one string")
+
+        monkeypatch.setattr(json.JSONEncoder, "encode", one_shot)
+        out = tmp_path / "batch.json"
+        assert main(["batch", "--scenario", scenario_path, "--replications", "3",
+                     "--format", "json", "--output", str(out)]) == 0
+        assert out.read_text() == expected
+
+    def test_a_failed_run_leaves_its_trace_up_to_the_failure(self, scenario_path, tmp_path,
+                                                             monkeypatch, capsys):
+        on_encounter = Simulation._HANDLERS[EncounterEvent]
+
+        def failing(sim, event):
+            if event.time > 900.0:
+                raise RuntimeError("injected encounter failure")
+            return on_encounter(sim, event)
+
+        monkeypatch.setitem(Simulation._HANDLERS, EncounterEvent, failing)
+        lines = []
+        with pytest.raises(RuntimeError):
+            run(load_scenario(scenario_path), trace=lines.append)
+        trace, out = tmp_path / "run.trace", tmp_path / "report.json"
+        assert main(["run", "--scenario", scenario_path, "--format", "json",
+                     "--output", str(out), "--trace", str(trace)]) == 1
+        assert "injected encounter failure" in capsys.readouterr().err
+        assert lines and trace.read_text() == "\n".join(lines) + "\n"
+        assert not out.exists()  # the report file is opened only after a run succeeds
+
+    def test_unwritable_trace_path_fails_before_the_run(self, scenario_path, tmp_path,
+                                                        monkeypatch, capsys):
+        started = []
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: started.append(args))
+        path = tmp_path / "no-such-dir" / "run.trace"
+        assert main(["run", "--scenario", scenario_path, "--trace", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert started == []

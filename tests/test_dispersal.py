@@ -168,6 +168,14 @@ class TestReconstruct:
         assert reconstruct(fragments[12:24]) == payload  # parity only: 12 rows decoded
         assert reconstruct(fragments[:3] + fragments[21:]) == payload  # 9 rows decoded
 
+    @pytest.mark.parametrize("size", [1, 2, 5, 13])
+    def test_chunks_of_padding_alone_are_left_out(self, size):
+        payload = bytes(range(1, size + 1))
+        fragments = split(payload, 9, 6).fragments  # size < 5 chunks: trailing chunks all pad
+        for subset in (fragments[:6], fragments[3:], fragments[::2] + fragments[1:2]):
+            rebuilt = reconstruct(subset)
+            assert type(rebuilt) is bytes and rebuilt == payload
+
     def test_all_fragments_work_too(self):
         payload = b"\x00\x01\x02" * 100
         fs = split(payload, 6, 3)

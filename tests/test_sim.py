@@ -180,6 +180,36 @@ class TestScriptedRuns:
         with pytest.raises(IntegrityError):
             sim._restorable(key, {}, sim._placement())
 
+    @pytest.mark.parametrize("offset, mismatch", [(0, True), (498, True), (499, False)],
+                             ids=["first byte", "last payload byte", "padding"])
+    def test_restore_check_compares_every_payload_byte(self, offset, mismatch):
+        sim = Simulation(quiet_config())
+        key = ("t00/d0000", 1)
+        produce(sim, 1.0, item_spec(size=999, n=4, k=2))  # chunks of 500: one pad byte
+        meet(sim, 10.0, "t00", "t01", 2 * fragment_wire_size(999, 2))
+        assert sim._restorable(key, {}, sim._placement())
+        original = sim.fragment_sets[key]
+        flipped = bytearray(original.data[1].payload)
+        flipped[offset] ^= 0x01
+        sim.fragment_sets[key] = dataclasses.replace(original, data=(
+            original.data[0], dataclasses.replace(original.data[1], payload=bytes(flipped))))
+        if mismatch:
+            with pytest.raises(IntegrityError):
+                sim._restorable(key, {}, sim._placement())
+        else:
+            assert sim._restorable(key, {}, sim._placement())
+
+    @pytest.mark.parametrize("resize", [lambda b: b[:-1], lambda b: b + b"\x00"],
+                             ids=["short", "long"])
+    def test_restore_check_compares_the_length(self, monkeypatch, resize):
+        sim = Simulation(quiet_config())
+        produce(sim, 1.0, item_spec(size=999, n=4, k=2))
+        meet(sim, 10.0, "t00", "t01", 2 * fragment_wire_size(999, 2))
+        rebuild = sim_module.reconstruct
+        monkeypatch.setattr(sim_module, "reconstruct", lambda fragments: resize(rebuild(fragments)))
+        with pytest.raises(IntegrityError):
+            sim._restorable(("t00/d0000", 1), {}, sim._placement())
+
     def test_no_parity_computed_while_only_data_fragments_are_sent(self, monkeypatch):
         dispersal._encode_matrix(4, 2)  # its own construction is not parity work
         combined = []
@@ -383,6 +413,20 @@ class TestScriptedRuns:
         assert sim.now == 3600.0
         assert report.items_measured == 1  # still alive at the horizon
         assert report.outcomes == {"t00/d0000@1": "lost"}
+
+    def test_finish_classifies_versions_with_the_stores_released(self):
+        sim = Simulation(quiet_config())
+        produce(sim, 1.0, item_spec(size=1000, n=4, k=2))
+        meet(sim, 10.0, "t00", "t01", 2 * fragment_wire_size(1000, 2))
+        restorable, held = sim._restorable, []
+
+        def spy(key, memo, placement):
+            held.append((len(sim.stores), len(sim.schedulers)))
+            return restorable(key, memo, placement)
+
+        sim._restorable = spy
+        assert sim.finish().outcomes == {"t00/d0000@1": "recoverable_from_peers"}
+        assert held and set(held) == {(0, 0)}
 
     def test_event_behind_clock_rejected(self):
         sim = Simulation(quiet_config())
