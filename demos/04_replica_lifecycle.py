@@ -5,7 +5,6 @@
 from oppbak import (
     Fragment,
     NoticeSource,
-    ReplicaMetadata,
     ReplicaStore,
     VersionIndex,
     DataItem,
@@ -29,21 +28,23 @@ store = ReplicaStore(
 )
 
 
-def whole_copy(item_id, version, payload, **meta):
+def whole_copy(item_id, version, payload, declared_success=0.5, **fields):
+    """What an owner sends a peer: the fragment, its item, and the declared success."""
     fragment = Fragment(item_id=item_id, version=version, index=0, n=1, k=1,
                         original_size=len(payload), payload=payload)
-    defaults = dict(owner="alice", priority=0.9, declared_success=0.5)
-    defaults.update(meta)
-    return fragment, ReplicaMetadata(**defaults)
+    defaults = dict(owner="alice", priority=0.9)
+    defaults.update(fields)
+    item = DataItem(id=item_id, version=version, size_bytes=len(payload), **defaults)
+    return fragment, item, declared_success
 
 
 # -- admission -----------------------------------------------------------------
-f, m = whole_copy("report", 1, b"q3 draft" * 40)
-print(f"accept report v1: {store.accept(f, m, now=0.0) is not None} "
+saved = whole_copy("report", 1, b"q3 draft" * 40)
+print(f"accept report v1: {store.accept(*saved, now=0.0) is not None} "
       f"(used {store.used_bytes}/{store.quota_bytes})")
 
-f, m = whole_copy("cat-pic", 1, b"\x89PNG" * 200, priority=0.2, declared_success=0.95)
-print(f"accept cat-pic:   {store.accept(f, m, now=10.0) is not None} "
+saved = whole_copy("cat-pic", 1, b"\x89PNG" * 200, priority=0.2, declared_success=0.95)
+print(f"accept cat-pic:   {store.accept(*saved, now=10.0) is not None} "
       f"(used {store.used_bytes}/{store.quota_bytes})")
 
 # -- the owner updates the report: v1 superseded but still protecting v2 -------
@@ -71,9 +72,9 @@ print(f"store now holds {len(store)} replicas, {store.used_bytes} bytes")
 print("\nmerging two encounter logs from the same stream:")
 for name, lines in (("bird-12", [b"w3 met w9", b"w3 met w4"]),
                     ("bird-47", [b"w3 met w4", b"w4 met w7"])):
-    f, m = whole_copy(name, 1, b"\n".join(lines), owner=name,
-                      mergeable=True, stream="encounters")
-    store.accept(f, m, now=40.0)
+    saved = whole_copy(name, 1, b"\n".join(lines), owner=name,
+                       mergeable=True, stream="encounters")
+    store.accept(*saved, now=40.0)
 before = store.used_bytes
 merged_key = store.merge(
     [("bird-12", "bird-12", 1, 0), ("bird-47", "bird-47", 1, 0)], now=41.0

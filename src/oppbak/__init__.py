@@ -37,7 +37,6 @@ from .peer import (
     EvictionShortfall,
     NoticeSource,
     Replica,
-    ReplicaMetadata,
     ReplicaState,
     ReplicaStore,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "NoticeSource",
     "Production",
     "Replica",
-    "ReplicaMetadata",
     "ReplicaState",
     "ReplicaStore",
     "ReliabilityTable",

@@ -8,7 +8,8 @@ replicas are scored and deleted oldest/over-provisioned/bulkiest first,
 but never while a replica is pinned (an old version still protecting a
 newer one that has not reached the server). Union-mergeable append logs
 from one logical stream can be squashed into a single replica to free
-space without losing entries.
+space without losing entries. Each replica keeps its owner's `DataItem`,
+the description an owner sends with every fragment.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from .dispersal import HEADER_SIZE, chunk_size
-from .model import Fragment, UsageError, VersionKey, merged_lifetime, reachable
+from .model import DataItem, Fragment, UsageError, VersionKey, merged_lifetime, reachable
 
 ReplicaKey = tuple[str, str, int, int]  # (owner, item id, version, fragment index)
 
@@ -46,23 +47,11 @@ class EvictionShortfall(RuntimeError):
         self.deleted = deleted
 
 
-@dataclass(frozen=True, slots=True)
-class ReplicaMetadata:
-    """Owner-declared facts accompanying a saved fragment."""
-
-    owner: str
-    priority: float
-    declared_success: float
-    lifetime: Optional[float] = None
-    temporal_deps: tuple[VersionKey, ...] = ()
-    mergeable: bool = False
-    stream: Optional[str] = None
-
-
 @dataclass(slots=True)
 class Replica:
-    """One held fragment, the owner's metadata for it, and its lifecycle state.
+    """One held fragment, its owner's `DataItem` as saved, and its lifecycle state.
 
+    `declared_success`: the restore probability the owner declared with it.
     `sources`: (owner, item id, version) of each version a merged replica
     stands for; empty for a single fragment's replica, which is its own.
     `fate`: can the owner reach this holder to restore it? A simulator draws
@@ -70,7 +59,8 @@ class Replica:
     """
 
     fragment: Fragment
-    meta: ReplicaMetadata
+    item: DataItem
+    declared_success: float
     received_at: float
     size_bytes: int  # the fragment's stored size, computed once at admission
     state: ReplicaState = ReplicaState.LIVE
@@ -80,10 +70,10 @@ class Replica:
     @property
     def key(self) -> ReplicaKey:
         f = self.fragment
-        return (self.meta.owner, f.item_id, f.version, f.index)
+        return (self.item.owner, f.item_id, f.version, f.index)
 
     def expired(self, now: float) -> bool:
-        return self.meta.lifetime is not None and now >= self.meta.lifetime
+        return self.item.expired(now)
 
 
 def _stored_size(f: Fragment) -> int:
@@ -105,14 +95,14 @@ class ReplicaStore:
 
     Besides the replicas, the store keeps four indexes up to date on
     every insertion and deletion: a heap of (lifetime, key) for expiry,
-    the set of keys no longer live, the keys held per item id, and per
-    owner the number of replicas held per item id. A purge therefore
-    costs O(due + non-live) rather than a sort of the whole store, and
-    nothing when nothing is due or non-live; a notice touches only the
-    named item's replicas; and `replicas_of` lists an owner's replicas in
-    key order without visiting anyone else's items. A replica's `state`
-    changes only through `notify`, and its frozen `meta` not at all,
-    while it is held.
+    the set of keys no longer live, and the keys held per item id and per
+    owner. A purge therefore costs O(due + non-live) rather than a sort of
+    the whole store, and nothing when nothing is due or non-live; a
+    notice touches only the named item's replicas; and `replicas_of`
+    lists an owner's replicas in key order without visiting anyone else's.
+    A replica's `state` changes only through `notify`, and its frozen
+    `item` not at all, while it is held: a raised priority in the owner's
+    index replaces the index's `DataItem` and leaves the replica's as saved.
     """
 
     def __init__(
@@ -143,7 +133,7 @@ class ReplicaStore:
         self._expiry: list[tuple[float, ReplicaKey]] = []  # may hold stale entries
         self._not_live: set[ReplicaKey] = set()
         self._by_item: dict[str, set[ReplicaKey]] = {}
-        self._by_owner: dict[str, dict[str, int]] = {}  # owner -> {item id: replicas}
+        self._by_owner: dict[str, set[ReplicaKey]] = {}
         self._used = 0
         self._used_by_owner: dict[str, int] = {}
         self._merge_counter = 0
@@ -184,14 +174,8 @@ class ReplicaStore:
 
     def replicas_of(self, owner: str) -> list[Replica]:
         """The replicas held for one owner, in key order, through the per-owner
-        and per-item indexes: only that owner's items are visited."""
-        replicas, by_item = self._replicas, self._by_item
-        return [
-            replicas[key]
-            for item_id in sorted(self._by_owner.get(owner, ()))
-            for key in sorted(by_item[item_id])
-            if key[0] == owner
-        ]
+        index: only that owner's replicas are visited."""
+        return [self._replicas[key] for key in sorted(self._by_owner.get(owner, ()))]
 
     def _pinned(self, replica: Replica) -> bool:
         return self._pin_check(replica.fragment.item_id, replica.fragment.version)
@@ -204,11 +188,9 @@ class ReplicaStore:
         same_item.discard(key)
         if not same_item:
             del self._by_item[item_id]
-        owner_items = self._by_owner[owner]
-        remaining = owner_items.pop(item_id) - 1
-        if remaining:
-            owner_items[item_id] = remaining
-        elif not owner_items:
+        same_owner = self._by_owner[owner]
+        same_owner.discard(key)
+        if not same_owner:
             del self._by_owner[owner]
         size = replica.size_bytes
         self._used -= size
@@ -223,14 +205,14 @@ class ReplicaStore:
     def _insert(self, replica: Replica) -> None:
         key = replica.key
         self._replicas[key] = replica
-        if replica.meta.lifetime is not None:
-            heapq.heappush(self._expiry, (replica.meta.lifetime, key))
+        lifetime = replica.item.lifetime
+        if lifetime is not None:
+            heapq.heappush(self._expiry, (lifetime, key))
         if replica.state is not ReplicaState.LIVE:
             self._not_live.add(key)
         owner, item_id = key[0], key[1]
         self._by_item.setdefault(item_id, set()).add(key)
-        owner_items = self._by_owner.setdefault(owner, {})
-        owner_items[item_id] = owner_items.get(item_id, 0) + 1
+        self._by_owner.setdefault(owner, set()).add(key)
         size = replica.size_bytes
         self._used += size
         self._used_by_owner[owner] = self._used_by_owner.get(owner, 0) + size
@@ -253,7 +235,7 @@ class ReplicaStore:
         while expiry and expiry[0][0] <= now:
             lifetime, key = heapq.heappop(expiry)
             replica = self._replicas.get(key)
-            if replica is not None and replica.meta.lifetime == lifetime:
+            if replica is not None and replica.item.lifetime == lifetime:
                 due.add(key)
         deleted: list[ReplicaKey] = []
         for key in sorted(due | self._not_live):
@@ -266,7 +248,9 @@ class ReplicaStore:
             deleted.append(key)
         return deleted
 
-    def accept(self, fragment: Fragment, meta: ReplicaMetadata, now: float) -> Optional[Replica]:
+    def accept(
+        self, fragment: Fragment, item: DataItem, declared_success: float, now: float
+    ) -> Optional[Replica]:
         """Admit a fragment if free space allows; never displaces live data.
 
         Returns the stored replica, or None if the fragment is refused.
@@ -274,9 +258,12 @@ class ReplicaStore:
         itself, so callers read `free_bytes(now)` first, as the save loop
         does. Duplicates of an already-held (owner, item, version, index)
         are rejected, as are fragments that would push the owner past its
-        fairness cap or the store past its quota.
+        fairness cap or the store past its quota. The fragment must be
+        one of `item`'s own: a mismatched (id, version) raises UsageError.
         """
-        owner = meta.owner
+        if fragment.key != item.key:
+            raise UsageError(f"fragment of {fragment.key} paired with item {item.key}")
+        owner = item.owner
         if (owner, fragment.item_id, fragment.version, fragment.index) in self._replicas:
             return None
         size = _stored_size(fragment)
@@ -285,7 +272,7 @@ class ReplicaStore:
         owner_cap = int(self.per_owner_cap * self.quota_bytes)
         if self._used_by_owner.get(owner, 0) + size > owner_cap:
             return None
-        replica = Replica(fragment=fragment, meta=meta, received_at=now, size_bytes=size)
+        replica = Replica(fragment, item, declared_success, received_at=now, size_bytes=size)
         self._insert(replica)
         return replica
 
@@ -324,15 +311,15 @@ class ReplicaStore:
         edges: dict[tuple[str, VersionKey], set[tuple[str, VersionKey]]] = {}
         sizes: dict[tuple[str, VersionKey], int] = {}
         for replica in self._replicas.values():
-            node = (replica.meta.owner, replica.fragment.key)
+            node = (replica.item.owner, replica.fragment.key)
             sizes[node] = sizes.get(node, 0) + replica.size_bytes
-            for dep in replica.meta.temporal_deps:
+            for dep in replica.item.temporal_deps:
                 edges.setdefault((node[0], dep), set()).add(node)
         bulk: dict[tuple[str, VersionKey], int] = {}
-        for node in {(r.meta.owner, r.fragment.key) for r in targets}:
+        for node in {(r.item.owner, r.fragment.key) for r in targets}:
             dependents = reachable(edges.get(node, ()), lambda n: edges.get(n, ()))
             bulk[node] = sum(sizes[d] for d in dependents)
-        return [bulk[(r.meta.owner, r.fragment.key)] for r in targets]
+        return [bulk[(r.item.owner, r.fragment.key)] for r in targets]
 
     def evict(self, needed_bytes: int, now: float) -> list[ReplicaKey]:
         """Free at least `needed_bytes`, cheapest casualties first.
@@ -361,10 +348,10 @@ class ReplicaStore:
         for replica, age, bulk in zip(candidates, ages, bulks):
             score = (
                 self.w_age * age
-                + self.w_res * max(0.0, replica.meta.declared_success - replica.meta.priority)
+                + self.w_res * max(0.0, replica.declared_success - replica.item.priority)
                 + self.w_size * bulk
             )
-            scored.append((-score, replica.meta.owner, replica.key))
+            scored.append((-score, replica.item.owner, replica.key))
         for _, _, key in sorted(scored):
             if key not in self._replicas:
                 continue
@@ -395,13 +382,13 @@ class ReplicaStore:
             return replicas[0].key
         for replica in replicas:
             f = replica.fragment
-            if not replica.meta.mergeable:
+            if not replica.item.mergeable:
                 raise UsageError(f"replica {replica.key} is not mergeable")
             if f.n != 1 or f.k != 1:
                 raise UsageError(f"replica {replica.key} is fragmented, not a whole copy")
             if f.payload is None:
                 raise UsageError(f"replica {replica.key} carries no payload to merge")
-        streams = {r.meta.stream for r in replicas}
+        streams = {r.item.stream for r in replicas}
         if len(streams) != 1 or None in streams:
             raise UsageError(f"replicas belong to different streams: {sorted(map(str, streams))}")
         entries: set[bytes] = set()
@@ -409,26 +396,23 @@ class ReplicaStore:
             entries.update(e for e in replica.fragment.payload.split(b"\n") if e)
         payload = b"\n".join(sorted(entries))
         self._merge_counter += 1
-        merged_fragment = Fragment(
-            item_id=f"merged-{self.terminal_id}-{self._merge_counter}",
-            version=max(r.fragment.version for r in replicas),
-            index=0,
-            n=1,
-            k=1,
-            original_size=len(payload),
-            payload=payload,
+        items = [r.item for r in replicas]
+        item = DataItem(
+            id=f"merged-{self.terminal_id}-{self._merge_counter}",
+            owner=min(i.owner for i in items),
+            size_bytes=len(payload),
+            priority=max(i.priority for i in items),
+            version=max(i.version for i in items),
+            lifetime=merged_lifetime(i.lifetime for i in items),
+            temporal_deps=tuple(sorted({d for i in items for d in i.temporal_deps})),
+            mergeable=True,
+            stream=streams.pop(),
         )
+        merged_fragment = Fragment(item.id, item.version, 0, 1, 1, len(payload), payload)
         merged = Replica(
-            fragment=merged_fragment,
-            meta=ReplicaMetadata(
-                owner=min(r.meta.owner for r in replicas),
-                priority=max(r.meta.priority for r in replicas),
-                declared_success=max(r.meta.declared_success for r in replicas),
-                lifetime=merged_lifetime(r.meta.lifetime for r in replicas),
-                temporal_deps=tuple(sorted({d for r in replicas for d in r.meta.temporal_deps})),
-                mergeable=True,
-                stream=streams.pop(),
-            ),
+            merged_fragment,
+            item,
+            max(r.declared_success for r in replicas),
             received_at=min(r.received_at for r in replicas),
             size_bytes=_stored_size(merged_fragment),
             sources=frozenset().union(*(r.sources or {r.key[:3]} for r in replicas)),

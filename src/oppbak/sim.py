@@ -54,7 +54,7 @@ from .model import (
     detect_conflict,
     propagate_priority,
 )
-from .peer import NoticeSource, Replica, ReplicaMetadata, ReplicaState, ReplicaStore
+from .peer import NoticeSource, Replica, ReplicaState, ReplicaStore
 from .reliability import ChannelEstimate, ReliabilityTable, composite_success
 # not called here: benchmarks/spans.py counts calls under the name oppbak.sim.config_from_dict
 from .scenario import ConfigError, ScenarioConfig, config_from_dict  # noqa: F401
@@ -514,7 +514,7 @@ class Simulation:
             fates[key] = self._channels.random() < self.true_retrieval
         replica.fate = fates[key]
         self.bytes_to_peers += size
-        self._trace("SAVE", size, from_=replica.meta.owner, to=peer, item=key, frag=index)
+        self._trace("SAVE", size, from_=replica.item.owner, to=peer, item=key, frag=index)
 
     def _record_occupancy(self, terminal: str) -> None:
         points = self.occupancy[terminal]
@@ -903,16 +903,8 @@ class _PeerTerminal:
         return self._sim.stores[self.terminal_id].free_bytes(self._sim.now)
 
     def save(self, fragment, item: DataItem, declared_success: float) -> bool:
-        meta = ReplicaMetadata(
-            owner=item.owner,
-            priority=item.priority,
-            declared_success=declared_success,
-            lifetime=item.lifetime,
-            temporal_deps=item.temporal_deps,
-            mergeable=item.mergeable,
-            stream=item.stream,
-        )
-        replica = self._sim.stores[self.terminal_id].accept(fragment, meta, self._sim.now)
+        store = self._sim.stores[self.terminal_id]
+        replica = store.accept(fragment, item, declared_success, self._sim.now)
         if replica is not None:
             self._sim._record_save(self.terminal_id, item.key, replica, self._fates)
         return replica is not None

@@ -97,6 +97,28 @@ def make_fragment(
     )
 
 
+def held(
+    fragment: Fragment,
+    owner: str = "t00",
+    priority: float = 0.5,
+    declared: float = 0.5,
+    **kwargs,
+) -> tuple[Fragment, DataItem, float]:
+    """`ReplicaStore.accept`'s (fragment, item, declared success), the item
+    built from the fragment: same id, version, n, k and size."""
+    item = DataItem(
+        id=fragment.item_id,
+        owner=owner,
+        size_bytes=fragment.original_size,
+        priority=priority,
+        n=fragment.n,
+        k=fragment.k,
+        version=fragment.version,
+        **kwargs,
+    )
+    return fragment, item, declared
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)

@@ -17,7 +17,6 @@ from oppbak.model import Location, VersionIndex, detect_conflict
 from oppbak.peer import (
     EvictionShortfall,
     NoticeSource,
-    ReplicaMetadata,
     ReplicaState,
     ReplicaStore,
 )
@@ -26,7 +25,7 @@ from oppbak.scenario import config_from_dict
 from oppbak.scheduler import LinkSession, Scheduler
 from oppbak.sim import calibration_check, run, run_batch
 
-from conftest import enumeration_success, make_fragment, make_item
+from conftest import enumeration_success, held, make_fragment, make_item
 
 
 def verdict(number: int, text: str) -> None:
@@ -233,17 +232,11 @@ def test_c05_old_version_pinned_through_eviction_storm():
         on_delete=lambda replica, reason: deletions.append((replica.key, reason)),
     )
     v1 = make_fragment("doc", version=1, original_size=500)
-    assert store.accept(
-        v1, ReplicaMetadata(owner="t00", priority=0.9, declared_success=0.9), now=0.0
-    )
+    assert store.accept(*held(v1, priority=0.9, declared=0.9), now=0.0)
     fodder_keys = []
     for i in range(3):
         fragment = make_fragment(f"junk{i}", original_size=300)
-        store.accept(
-            fragment,
-            ReplicaMetadata(owner="t01", priority=0.2, declared_success=0.9),
-            now=float(i),
-        )
+        store.accept(*held(fragment, "t01", priority=0.2, declared=0.9), now=float(i))
         fodder_keys.append(("t01", f"junk{i}", 1, 0))
     # the owner announces version 2: the old copy is superseded but pinned,
     # because version 2 has not reached the server
@@ -406,11 +399,11 @@ def test_c10_store_accounting_over_random_op_soup():
             if rng.random() < 0.04:
                 pinned.add((item_id, version))
             accepted = store.accept(
-                fragment,
-                ReplicaMetadata(
+                *held(
+                    fragment,
                     owner=f"t{rng.randrange(6)}",
                     priority=rng.random(),
-                    declared_success=rng.random(),
+                    declared=rng.random(),
                     lifetime=now + rng.uniform(1, 800) if rng.random() < 0.25 else None,
                     mergeable=mergeable,
                     stream="s" if mergeable else None,
@@ -436,12 +429,12 @@ def test_c10_store_accounting_over_random_op_soup():
             except EvictionShortfall:
                 pass
         else:
-            held = [
+            still_held = [
                 key for key in mergeable_keys
-                if key in store and store.get(key).meta.mergeable
+                if key in store and store.get(key).item.mergeable
             ]
-            if len(held) >= 2:
-                chosen = rng.sample(held, 2)
+            if len(still_held) >= 2:
+                chosen = rng.sample(still_held, 2)
                 merged = store.merge(chosen, now=now)
                 mergeable_keys = [k for k in mergeable_keys if k not in chosen]
                 mergeable_keys.append(merged)

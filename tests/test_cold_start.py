@@ -81,6 +81,13 @@ print(json.dumps({"rebuilt": len(rebuilt), "report": json.load(open(out))}))
 """
 
 
+def test_every_export_resolves_once():
+    """`__all__` names each public object once, and nothing that is gone."""
+    assert len(oppbak.__all__) == len(set(oppbak.__all__))
+    missing = [name for name in oppbak.__all__ if not hasattr(oppbak, name)]
+    assert missing == []
+
+
 def test_size_only_runs_never_import_numpy(tmp_path):
     paths = []
     for name, scenario in (("size_only", SIZE_ONLY), ("payload", PAYLOAD)):

@@ -18,7 +18,7 @@ from oppbak.model import (
     detect_conflict,
     propagate_priority,
 )
-from oppbak.peer import Replica, ReplicaMetadata
+from oppbak.peer import Replica
 from oppbak.reliability import ChannelEstimate, ReliabilityTable
 from oppbak.scheduler import SaveOutcome
 from oppbak.sim import (
@@ -29,7 +29,7 @@ from oppbak.sim import (
     TerminalFailureEvent,
 )
 
-from conftest import make_fragment, make_item
+from conftest import held, make_fragment, make_item
 
 
 class TestDataItem:
@@ -56,7 +56,6 @@ def _frozen_records() -> list:
     return [
         item,
         make_fragment("a", version=2),
-        ReplicaMetadata(owner="t00", priority=0.5, declared_success=0.4),
         ReliabilityTable.fresh(2),
         ChannelEstimate(0.9),
         SaveOutcome("a", 2, 0, 300, True),
@@ -80,8 +79,7 @@ class TestCompactRecords:
             setattr(record, dataclasses.fields(record)[0].name, None)
 
     def test_replica_is_slotted(self):
-        meta = ReplicaMetadata(owner="t00", priority=0.5, declared_success=0.4)
-        assert not hasattr(Replica(make_fragment(), meta, 0.0, 100), "__dict__")
+        assert not hasattr(Replica(*held(make_fragment()), 0.0, 100), "__dict__")
 
     def test_key_is_built_once(self):
         item = make_item("a", version=3)

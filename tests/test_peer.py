@@ -7,18 +7,11 @@ from oppbak.model import UsageError
 from oppbak.peer import (
     EvictionShortfall,
     NoticeSource,
-    ReplicaMetadata,
     ReplicaState,
     ReplicaStore,
 )
 
-from conftest import make_fragment
-
-
-def meta(owner="t00", priority=0.5, declared=0.5, **kwargs) -> ReplicaMetadata:
-    return ReplicaMetadata(
-        owner=owner, priority=priority, declared_success=declared, **kwargs
-    )
+from conftest import held, make_fragment
 
 
 def frag(item_id="a", version=1, index=0, wire_size=300, payload=None, n=None):
@@ -36,88 +29,98 @@ def frag(item_id="a", version=1, index=0, wire_size=300, payload=None, n=None):
 class TestAccept:
     def test_plain_accept(self):
         store = ReplicaStore("p", 1000)
-        assert store.accept(frag(wire_size=300), meta(), now=0.0)
+        assert store.accept(*held(frag(wire_size=300)), now=0.0)
         assert store.used_bytes == 300
 
     def test_rejected_when_nothing_purgeable(self):
         store = ReplicaStore("p", 100)
-        assert not store.accept(frag(wire_size=300), meta(), now=0.0)
+        assert not store.accept(*held(frag(wire_size=300)), now=0.0)
         assert store.used_bytes == 0
 
     def test_purge_then_accept(self):
         store = ReplicaStore("p", 400)
         # 250 bytes that expire at t=50, leaving 100 free before purge
-        assert store.accept(frag("old", wire_size=250), meta(lifetime=50.0), now=0.0)
-        assert store.accept(frag("x", wire_size=150), meta(), now=0.0)
+        assert store.accept(*held(frag("old", wire_size=250), lifetime=50.0), now=0.0)
+        assert store.accept(*held(frag("x", wire_size=150)), now=0.0)
         assert store.free_bytes(now=60.0) == 400 - 150  # expired copy purged
-        assert store.accept(frag("new", wire_size=250), meta(), now=60.0)
+        assert store.accept(*held(frag("new", wire_size=250)), now=60.0)
         assert store.used_bytes == store.recomputed_used_bytes() == 400
 
     def test_accept_uses_space_left_by_last_purge(self):
         store = ReplicaStore("p", 400)
-        assert store.accept(frag("old", wire_size=250), meta(lifetime=50.0), now=0.0)
+        assert store.accept(*held(frag("old", wire_size=250), lifetime=50.0), now=0.0)
         # expired at t=60 but not yet purged: admission does not purge itself
-        assert not store.accept(frag("new", wire_size=250), meta(), now=60.0)
+        assert not store.accept(*held(frag("new", wire_size=250)), now=60.0)
         assert ("t00", "old", 1, 0) in store
         assert store.free_bytes(now=60.0) == 400
-        assert store.accept(frag("new", wire_size=250), meta(), now=60.0)
+        assert store.accept(*held(frag("new", wire_size=250)), now=60.0)
 
     def test_accept_returns_the_stored_replica(self):
         store = ReplicaStore("p", 1000)
-        replica = store.accept(frag(), meta(), now=0.0)
+        replica = store.accept(*held(frag()), now=0.0)
         assert store.get(replica.key) is replica
         assert replica.sources == frozenset()  # a single fragment's replica is its own source
 
+    def test_fragment_of_another_version_is_a_usage_error(self):
+        store = ReplicaStore("p", 1000)
+        fragment, item, declared = held(frag("a", version=2))
+        with pytest.raises(UsageError):
+            store.accept(frag("a", version=1), item, declared, now=0.0)
+        with pytest.raises(UsageError):
+            store.accept(frag("b", version=2), item, declared, now=0.0)
+        assert len(store) == 0
+        assert store.accept(fragment, item, declared, now=0.0).item is item
+
     def test_refusals_return_none(self):
         store = ReplicaStore("p", 1000, per_owner_cap=0.5)
-        assert store.accept(frag("a", wire_size=400), meta("hog"), now=0.0) is not None
-        assert store.accept(frag("a", wire_size=400), meta("hog"), now=0.0) is None  # duplicate
-        assert store.accept(frag("b", wire_size=200), meta("hog"), now=0.0) is None  # owner cap
-        assert store.accept(frag("c", wire_size=400), meta("other"), now=0.0) is not None
-        assert store.accept(frag("d", wire_size=300), meta("third"), now=0.0) is None  # quota
+        assert store.accept(*held(frag("a", wire_size=400), "hog"), now=0.0) is not None
+        assert store.accept(*held(frag("a", wire_size=400), "hog"), now=0.0) is None  # duplicate
+        assert store.accept(*held(frag("b", wire_size=200), "hog"), now=0.0) is None  # owner cap
+        assert store.accept(*held(frag("c", wire_size=400), "other"), now=0.0) is not None
+        assert store.accept(*held(frag("d", wire_size=300), "third"), now=0.0) is None  # quota
         assert store.used_bytes == 800
 
     def test_duplicate_rejected(self):
         store = ReplicaStore("p", 1000)
-        assert store.accept(frag(), meta(), now=0.0)
-        assert not store.accept(frag(), meta(), now=0.0)
-        assert store.accept(frag(index=1, wire_size=300), meta(), now=0.0)
+        assert store.accept(*held(frag()), now=0.0)
+        assert not store.accept(*held(frag()), now=0.0)
+        assert store.accept(*held(frag(index=1, wire_size=300)), now=0.0)
 
     def test_per_owner_cap(self):
         store = ReplicaStore("p", 1000, per_owner_cap=0.5)
-        assert store.accept(frag("a", wire_size=400), meta("hog"), now=0.0)
-        assert not store.accept(frag("b", wire_size=200), meta("hog"), now=0.0)
-        assert store.accept(frag("c", wire_size=400), meta("other"), now=0.0)
+        assert store.accept(*held(frag("a", wire_size=400), "hog"), now=0.0)
+        assert not store.accept(*held(frag("b", wire_size=200), "hog"), now=0.0)
+        assert store.accept(*held(frag("c", wire_size=400), "other"), now=0.0)
 
 
 class TestNotify:
     def test_server_notice_confirms(self):
         store = ReplicaStore("p", 1000)
-        store.accept(frag("a", version=1), meta(), now=0.0)
+        store.accept(*held(frag("a", version=1)), now=0.0)
         assert store.notify(NoticeSource.SERVER_NOTICE, "a", 1) == 1
         assert store.get(("t00", "a", 1, 0)).state is ReplicaState.CONFIRMED_SAVED
 
     def test_server_notice_covers_older_versions(self):
         store = ReplicaStore("p", 1000)
-        store.accept(frag("a", version=1), meta(), now=0.0)
-        store.accept(frag("a", version=3), meta(), now=0.0)
+        store.accept(*held(frag("a", version=1)), now=0.0)
+        store.accept(*held(frag("a", version=3)), now=0.0)
         store.notify(NoticeSource.SERVER_NOTICE, "a", 2)
         assert store.get(("t00", "a", 1, 0)).state is ReplicaState.CONFIRMED_SAVED
         assert store.get(("t00", "a", 3, 0)).state is ReplicaState.LIVE
 
     def test_owner_notice_outdates_strictly_older(self):
         store = ReplicaStore("p", 1000)
-        store.accept(frag("a", version=1), meta(), now=0.0)
-        store.accept(frag("a", version=2), meta(), now=0.0)
+        store.accept(*held(frag("a", version=1)), now=0.0)
+        store.accept(*held(frag("a", version=2)), now=0.0)
         store.notify(NoticeSource.OWNER_NOTICE, "a", 2)
         assert store.get(("t00", "a", 1, 0)).state is ReplicaState.OUTDATED
         assert store.get(("t00", "a", 2, 0)).state is ReplicaState.LIVE
 
     def test_owners_sharing_an_item_id(self):
         store = ReplicaStore("p", 10_000)
-        store.accept(frag("a"), meta("t00"), now=0.0)
-        store.accept(frag("a"), meta("t01"), now=0.0)
-        store.accept(frag("b"), meta("t01"), now=0.0)
+        store.accept(*held(frag("a"), "t00"), now=0.0)
+        store.accept(*held(frag("a"), "t01"), now=0.0)
+        store.accept(*held(frag("b"), "t01"), now=0.0)
         assert [r.key for r in store.replicas_of("t00")] == [("t00", "a", 1, 0)]
         assert [r.key for r in store.replicas_of("t01")] == [("t01", "a", 1, 0),
                                                               ("t01", "b", 1, 0)]
@@ -130,7 +133,7 @@ class TestNotify:
 
     def test_idempotent(self):
         store = ReplicaStore("p", 1000)
-        store.accept(frag("a", version=1), meta(), now=0.0)
+        store.accept(*held(frag("a", version=1)), now=0.0)
         store.notify(NoticeSource.OWNER_NOTICE, "a", 2)
         states = [r.state for r in store.replicas()]
         assert store.notify(NoticeSource.OWNER_NOTICE, "a", 2) == 0
@@ -138,7 +141,7 @@ class TestNotify:
 
     def test_outdated_not_overridden_by_confirmation(self):
         store = ReplicaStore("p", 1000)
-        store.accept(frag("a", version=1), meta(), now=0.0)
+        store.accept(*held(frag("a", version=1)), now=0.0)
         store.notify(NoticeSource.OWNER_NOTICE, "a", 2)
         store.notify(NoticeSource.SERVER_NOTICE, "a", 2)
         assert store.get(("t00", "a", 1, 0)).state is ReplicaState.OUTDATED
@@ -154,7 +157,7 @@ class TestPurge:
         )
         for item_id, lifetime in (("d", 10.0), ("c", None), ("b", 30.0),
                                   ("a", 20.0), ("pinned", None)):
-            store.accept(frag(item_id), meta(lifetime=lifetime), now=0.0)
+            store.accept(*held(frag(item_id), lifetime=lifetime), now=0.0)
         for item_id in ("c", "a", "pinned"):
             store.notify(NoticeSource.OWNER_NOTICE, item_id, 2)
         assert store.purge(now=5.0) == [("t00", "a", 1, 0), ("t00", "c", 1, 0)]
@@ -169,17 +172,17 @@ class TestPurge:
         deletions = []
         store = ReplicaStore("p", 10_000,
                              on_delete=lambda replica, reason: deletions.append(reason))
-        store.accept(frag("a"), meta(lifetime=10.0), now=0.0)
+        store.accept(*held(frag("a"), lifetime=10.0), now=0.0)
         store.notify(NoticeSource.SERVER_NOTICE, "a", 1)
         store.purge(now=10.0)
         assert deletions == ["expired"]
 
     def test_reinserted_key_expires_on_its_own_lifetime(self):
         store = ReplicaStore("p", 10_000)
-        store.accept(frag("a"), meta(lifetime=10.0), now=0.0)
+        store.accept(*held(frag("a"), lifetime=10.0), now=0.0)
         store.notify(NoticeSource.SERVER_NOTICE, "a", 1)
         assert store.purge(now=1.0) == [("t00", "a", 1, 0)]
-        store.accept(frag("a"), meta(lifetime=50.0), now=2.0)
+        store.accept(*held(frag("a"), lifetime=50.0), now=2.0)
         assert store.purge(now=20.0) == []  # the first copy's expiry is stale
         assert store.purge(now=50.0) == [("t00", "a", 1, 0)]
         assert store.used_bytes == store.recomputed_used_bytes() == 0
@@ -188,7 +191,7 @@ class TestPurge:
         deletions = []
         store = ReplicaStore("p", 10_000,
                              on_delete=lambda replica, reason: deletions.append(reason))
-        store.accept(frag("a"), meta(lifetime=10.0), now=0.0)
+        store.accept(*held(frag("a"), lifetime=10.0), now=0.0)
         assert store.purge(now=9.0) == []
         assert store.purge(now=10.0) == [("t00", "a", 1, 0)]  # lifetime <= now
         assert deletions == ["expired"]
@@ -202,7 +205,7 @@ class TestPurge:
             return item_id in pinned
 
         store = ReplicaStore("p", 10_000, pin_check=pin_check)
-        store.accept(frag("a"), meta(), now=0.0)
+        store.accept(*held(frag("a")), now=0.0)
         store.notify(NoticeSource.OWNER_NOTICE, "a", 2)
         for now in (1.0, 2.0):
             assert store.purge(now=now) == []
@@ -215,47 +218,45 @@ class TestPurge:
 class TestEvict:
     def test_age_criterion(self):
         store = ReplicaStore("p", 600, w_res=0.0, w_size=0.0)
-        store.accept(frag("young"), meta(), now=990.0)
-        store.accept(frag("old", wire_size=300), meta(), now=0.0)
+        store.accept(*held(frag("young")), now=990.0)
+        store.accept(*held(frag("old", wire_size=300)), now=0.0)
         deleted = store.evict(200, now=1000.0)
         assert deleted == [("t00", "old", 1, 0)]
 
     def test_overprovisioned_goes_first(self):
         store = ReplicaStore("p", 600, w_age=0.0, w_size=0.0)
-        store.accept(frag("cosy"), meta(priority=0.5, declared=0.99), now=0.0)
-        store.accept(frag("needy", wire_size=300), meta(priority=0.9, declared=0.4), now=0.0)
+        store.accept(*held(frag("cosy"), priority=0.5, declared=0.99), now=0.0)
+        store.accept(*held(frag("needy", wire_size=300), priority=0.9, declared=0.4), now=0.0)
         deleted = store.evict(200, now=10.0)
         assert deleted == [("t00", "cosy", 1, 0)]
 
     def test_bulky_goes_first(self):
         store = ReplicaStore("p", 900, w_age=0.0, w_res=0.0)
-        store.accept(frag("small", wire_size=200), meta(), now=0.0)
-        store.accept(frag("huge", wire_size=700), meta(), now=0.0)
+        store.accept(*held(frag("small", wire_size=200)), now=0.0)
+        store.accept(*held(frag("huge", wire_size=700)), now=0.0)
         deleted = store.evict(300, now=10.0)
         assert deleted == [("t00", "huge", 1, 0)]
 
     def test_dependency_bulk_counts(self):
         store = ReplicaStore("p", 900, w_age=0.0, w_res=0.0)
-        store.accept(frag("base", wire_size=300), meta(), now=0.0)
+        store.accept(*held(frag("base", wire_size=300)), now=0.0)
         store.accept(
-            frag("leaf", wire_size=300),
-            meta(temporal_deps=(("base", 1),)),
+            *held(frag("leaf", wire_size=300), temporal_deps=(("base", 1),)),
             now=0.0,
         )
-        store.accept(frag("solo", wire_size=300), meta(), now=0.0)
+        store.accept(*held(frag("solo", wire_size=300)), now=0.0)
         # base alone is 300 bytes but drags 300 more of dependent bulk
         deleted = store.evict(100, now=10.0)
         assert deleted == [("t00", "base", 1, 0)]
         # diamond: top reaches base over two paths and still counts once
         diamond = ReplicaStore("q", 1200)
-        diamond.accept(frag("base", wire_size=300), meta(), now=0.0)
+        diamond.accept(*held(frag("base", wire_size=300)), now=0.0)
         for side in ("left", "right"):
             diamond.accept(
-                frag(side, wire_size=300), meta(temporal_deps=(("base", 1),)), now=0.0
+                *held(frag(side, wire_size=300), temporal_deps=(("base", 1),)), now=0.0
             )
         diamond.accept(
-            frag("top", wire_size=300),
-            meta(temporal_deps=(("left", 1), ("right", 1))),
+            *held(frag("top", wire_size=300), temporal_deps=(("left", 1), ("right", 1))),
             now=0.0,
         )
         assert diamond._dependency_bulk([diamond.get(("t00", "base", 1, 0))]) == [900]
@@ -263,10 +264,9 @@ class TestEvict:
     def test_dependency_bulk_stays_within_owner(self):
         store = ReplicaStore("p", 10**6)
         for owner, size in (("t00", 300), ("t01", 500)):  # same item ids, own deps
-            store.accept(frag("log", wire_size=size), meta(owner=owner), now=0.0)
+            store.accept(*held(frag("log", wire_size=size), owner=owner), now=0.0)
             store.accept(
-                frag("view", wire_size=size),
-                meta(owner=owner, temporal_deps=(("log", 1),)),
+                *held(frag("view", wire_size=size), owner=owner, temporal_deps=(("log", 1),)),
                 now=0.0,
             )
         logs = [store.get((owner, "log", 1, 0)) for owner in ("t00", "t01")]
@@ -286,8 +286,7 @@ class TestEvict:
         store = ReplicaStore("p", total, **weights)
         for item_id, received, priority, declared, size in rows:
             assert store.accept(
-                frag(item_id, wire_size=size),
-                meta(priority=priority, declared=declared),
+                *held(frag(item_id, wire_size=size), priority=priority, declared=declared),
                 now=received,
             )
         ages = [now - r[1] for r in rows]
@@ -317,8 +316,8 @@ class TestEvict:
         store = ReplicaStore(
             "p", 600, pin_check=lambda item_id, version: item_id in pinned_items
         )
-        store.accept(frag("keep", wire_size=300), meta(), now=0.0)
-        store.accept(frag("fodder", wire_size=300), meta(), now=0.0)
+        store.accept(*held(frag("keep", wire_size=300)), now=0.0)
+        store.accept(*held(frag("fodder", wire_size=300)), now=0.0)
         deleted = store.evict(250, now=10.0)
         assert deleted == [("t00", "fodder", 1, 0)]
         with pytest.raises(EvictionShortfall):
@@ -327,8 +326,8 @@ class TestEvict:
 
     def test_purge_precedence_over_live(self):
         store = ReplicaStore("p", 900)
-        store.accept(frag("a", version=1, wire_size=300), meta(), now=0.0)
-        store.accept(frag("b", wire_size=300), meta(), now=0.0)
+        store.accept(*held(frag("a", version=1, wire_size=300)), now=0.0)
+        store.accept(*held(frag("b", wire_size=300)), now=0.0)
         store.notify(NoticeSource.SERVER_NOTICE, "a", 1)
         deleted = store.evict(200, now=10.0)
         assert deleted == [("t00", "a", 1, 0)]  # useless copy went, live stayed
@@ -336,8 +335,8 @@ class TestEvict:
 
     def test_all_pinned_shortfall(self):
         store = ReplicaStore("p", 600, pin_check=lambda i, v: True)
-        store.accept(frag("a", wire_size=300), meta(), now=0.0)
-        store.accept(frag("b", wire_size=300), meta(), now=0.0)
+        store.accept(*held(frag("a", wire_size=300)), now=0.0)
+        store.accept(*held(frag("b", wire_size=300)), now=0.0)
         with pytest.raises(EvictionShortfall) as excinfo:
             store.evict(100, now=10.0)
         assert excinfo.value.deleted == []
@@ -345,19 +344,15 @@ class TestEvict:
 
 
 class TestMerge:
-    def _log(self, item_id, entries, owner="t00"):
+    def _log(self, item_id, entries, owner="t00", **kwargs):
         payload = b"\n".join(entries)
-        return (
-            make_fragment(item_id=item_id, original_size=len(payload), payload=payload),
-            meta(owner=owner, mergeable=True, stream="tracks"),
-        )
+        fragment = make_fragment(item_id=item_id, original_size=len(payload), payload=payload)
+        return held(fragment, owner=owner, mergeable=True, stream="tracks", **kwargs)
 
     def test_union_semantics(self):
         store = ReplicaStore("p", 10**6)
-        f1, m1 = self._log("log1", [b"a", b"b"])
-        f2, m2 = self._log("log2", [b"b", b"c"])
-        store.accept(f1, m1, now=0.0)
-        store.accept(f2, m2, now=0.0)
+        store.accept(*self._log("log1", [b"a", b"b"]), now=0.0)
+        store.accept(*self._log("log2", [b"b", b"c"]), now=0.0)
         merged_key = store.merge([("t00", "log1", 1, 0), ("t00", "log2", 1, 0)], now=1.0)
         merged = store.get(merged_key)
         assert merged.fragment.payload == b"a\nb\nc"
@@ -365,8 +360,7 @@ class TestMerge:
 
     def test_single_replica_noop(self):
         store = ReplicaStore("p", 10**6)
-        f1, m1 = self._log("log1", [b"a"])
-        store.accept(f1, m1, now=0.0)
+        store.accept(*self._log("log1", [b"a"]), now=0.0)
         key = ("t00", "log1", 1, 0)
         assert store.merge([key], now=1.0) == key
         assert store.get(key).fragment.payload == b"a"
@@ -379,8 +373,7 @@ class TestMerge:
         store = ReplicaStore("p", 10**6)
         keys = []
         for i, chunk in enumerate(logs):
-            f, m = self._log(f"log{i}", chunk)
-            store.accept(f, m, now=0.0)
+            store.accept(*self._log(f"log{i}", chunk), now=0.0)
             keys.append(("t00", f"log{i}", 1, 0))
         before = store.used_bytes
         merged_key = store.merge(keys, now=1.0)
@@ -393,22 +386,33 @@ class TestMerge:
 
     def test_priority_is_maximum(self):
         store = ReplicaStore("p", 10**6)
-        f1, _ = self._log("log1", [b"a"])
-        f2, _ = self._log("log2", [b"b"])
-        store.accept(f1, meta(priority=0.3, mergeable=True, stream="s"), now=0.0)
-        store.accept(f2, meta(priority=0.8, mergeable=True, stream="s"), now=0.0)
+        store.accept(*self._log("log1", [b"a"], priority=0.3), now=0.0)
+        store.accept(*self._log("log2", [b"b"], priority=0.8), now=0.0)
         merged = store.get(
             store.merge([("t00", "log1", 1, 0), ("t00", "log2", 1, 0)], now=1.0)
         )
-        assert merged.meta.priority == 0.8
+        assert merged.item.priority == 0.8
+
+    def test_merged_item_describes_the_union(self):
+        store = ReplicaStore("p", 10**6)
+        store.accept(*self._log("log1", [b"a"], owner="t01", declared=0.6, lifetime=50.0,
+                                temporal_deps=(("x", 1),)), now=0.0)
+        fragment = make_fragment("log2", version=3, original_size=3, payload=b"b\nc")
+        store.accept(*held(fragment, declared=0.9, mergeable=True, stream="tracks",
+                           lifetime=80.0, temporal_deps=(("x", 1), ("log2", 2))), now=0.0)
+        merged = store.get(store.merge([("t01", "log1", 1, 0), ("t00", "log2", 3, 0)], now=1.0))
+        item = merged.item
+        assert item.key == merged.fragment.key == ("merged-p-1", 3)
+        assert (item.owner, item.n, item.k, item.size_bytes) == ("t00", 1, 1, 5)
+        assert item.lifetime == 80.0 and item.temporal_deps == (("log2", 2), ("x", 1))
+        assert item.mergeable and item.stream == "tracks"
+        assert merged.declared_success == 0.9
 
     def test_non_mergeable_rejected(self):
         store = ReplicaStore("p", 10**6)
-        f1, m1 = self._log("log1", [b"a"])
-        store.accept(f1, m1, now=0.0)
+        store.accept(*self._log("log1", [b"a"]), now=0.0)
         store.accept(
-            make_fragment(item_id="plain", original_size=10, payload=b"0123456789"),
-            meta(),
+            *held(make_fragment(item_id="plain", original_size=10, payload=b"0123456789")),
             now=0.0,
         )
         with pytest.raises(UsageError):
@@ -416,11 +420,10 @@ class TestMerge:
 
     def test_fragmented_rejected(self):
         store = ReplicaStore("p", 10**6)
-        f1, m1 = self._log("log1", [b"a"])
-        store.accept(f1, m1, now=0.0)
+        store.accept(*self._log("log1", [b"a"]), now=0.0)
         store.accept(
-            make_fragment(item_id="split", n=3, k=2, original_size=10, payload=b"01234"),
-            meta(mergeable=True, stream="tracks"),
+            *held(make_fragment(item_id="split", n=3, k=2, original_size=10, payload=b"01234"),
+                  mergeable=True, stream="tracks"),
             now=0.0,
         )
         with pytest.raises(UsageError):
@@ -428,10 +431,8 @@ class TestMerge:
 
     def test_sources_name_each_owners_merged_version(self):
         store = ReplicaStore("p", 10**6)
-        f1, m1 = self._log("log1", [b"a"])
-        f2, m2 = self._log("log2", [b"b"], owner="t01")
-        store.accept(f1, m1, now=0.0)
-        store.accept(f2, m2, now=0.0)
+        store.accept(*self._log("log1", [b"a"]), now=0.0)
+        store.accept(*self._log("log2", [b"b"], owner="t01"), now=0.0)
         merged = store.get(store.merge([("t00", "log1", 1, 0), ("t01", "log2", 1, 0)], now=1.0))
         assert merged.sources == {("t00", "log1", 1), ("t01", "log2", 1)}
         # held under the lowest owner, as one replica of its own item
@@ -454,17 +455,17 @@ class TestReplicasOf:
     def test_key_order(self):
         store = ReplicaStore("p", 10**6)
         for item_id, version, index in (("b", 1, 0), ("a", 2, 0), ("a", 1, 2), ("a", 1, 0)):
-            store.accept(frag(item_id, version=version, index=index, wire_size=100),
-                         meta(), now=0.0)
-        store.accept(frag("a", wire_size=100), meta("t01"), now=0.0)
+            store.accept(*held(frag(item_id, version=version, index=index, wire_size=100)),
+                         now=0.0)
+        store.accept(*held(frag("a", wire_size=100), "t01"), now=0.0)
         assert [r.key for r in store.replicas_of("t00")] == [
             ("t00", "a", 1, 0), ("t00", "a", 1, 2), ("t00", "a", 2, 0), ("t00", "b", 1, 0)]
         assert store.replicas_of("unknown") == []
 
     def test_consistent_after_eviction(self):
         store = ReplicaStore("p", 10**6, w_size=0.0, w_res=0.0)
-        store.accept(frag("a", version=1, index=0, wire_size=100), meta(), now=100.0)
-        store.accept(frag("a", version=1, index=2, wire_size=100), meta(), now=0.0)
+        store.accept(*held(frag("a", version=1, index=0, wire_size=100)), now=100.0)
+        store.accept(*held(frag("a", version=1, index=2, wire_size=100)), now=0.0)
         store.evict(10**6 - 150, now=200.0)
         assert [r.key for r in store.replicas_of("t00")] == [("t00", "a", 1, 0)]
 
@@ -498,8 +499,8 @@ class TestAccountingProperty:
                     payload=payload,
                 )
                 accepted = store.accept(
-                    fragment,
-                    meta(
+                    *held(
+                        fragment,
                         owner=f"t{rng.randrange(5)}",
                         lifetime=now + rng.uniform(1, 500) if rng.random() < 0.3 else None,
                         mergeable=mergeable,
@@ -523,23 +524,23 @@ class TestAccountingProperty:
                 except EvictionShortfall:
                     pass
             else:
-                held = [
+                still_held = [
                     k for k in mergeables
-                    if k in store and store.get(k).meta.mergeable
-                    and store.get(k).meta.stream == "s"
+                    if k in store and store.get(k).item.mergeable
+                    and store.get(k).item.stream == "s"
                 ]
-                if len(held) >= 2:
-                    picked = rng.sample(held, 2)
+                if len(still_held) >= 2:
+                    picked = rng.sample(still_held, 2)
                     merged_key = store.merge(picked, now=now)
                     mergeables = [k for k in mergeables if k not in picked]
                     mergeables.append(merged_key)
             assert store.used_bytes == store.recomputed_used_bytes()
             assert store.used_bytes <= store.quota_bytes
-            for owner in {r.meta.owner for r in store.replicas()}:
+            for owner in {r.item.owner for r in store.replicas()}:
                 assert store.used_bytes_of(owner) == sum(
-                    r.size_bytes for r in store.replicas() if r.meta.owner == owner
+                    r.size_bytes for r in store.replicas() if r.item.owner == owner
                 )
             for owner in (f"t{i}" for i in range(5)):
                 assert store.replicas_of(owner) == [
-                    r for r in store.replicas() if r.meta.owner == owner
+                    r for r in store.replicas() if r.item.owner == owner
                 ]

@@ -263,6 +263,21 @@ class TestScriptedRuns:
         assert report.outcomes["t00/d0000@2"] == "lost"
         assert report.outcomes["t00/d0000@1"] == "lost"
 
+    def test_a_replica_keeps_the_item_it_was_saved_with(self):
+        """The store holds the index's own `DataItem`, not a copy; a priority
+        raised later replaces the index's record and leaves the replica's,
+        whose overshoot the eviction score reads, as it was at the save."""
+        sim = Simulation(quiet_config())
+        produce(sim, 1.0, item_spec("t00/d0000", n=1, k=1, priority=0.5))
+        meet(sim, 5.0, "t00", "t01", fragment_wire_size(1000, 1))
+        saved = sim.index.get(("t00/d0000", 1))
+        replica = sim.stores["t01"].get(("t00", "t00/d0000", 1, 0))
+        assert replica.item is saved
+        produce(sim, 6.0, item_spec("t00/d0000", version=2, n=1, k=1, priority=0.99,
+                                    deps=(("t00/d0000", 1),)))
+        assert sim.index.get(("t00/d0000", 1)).priority == 0.99
+        assert replica.item is saved and replica.item.priority == 0.5
+
     def test_restore_reads_the_holders_of_another_owners_dependency(self):
         """A scripted chain may cross owners: t01's version depends on t00's,
         which only a peer holds, so t01's restore needs t00's replicas too."""
@@ -586,7 +601,7 @@ def test_owner_notices_read_only_the_meeting_owners_items(monkeypatch):
         found = replicas_of(store, owner)
         if meeting:
             calls.append((owner, store.terminal_id))
-            assert all(r.meta.owner == owner for r in found)
+            assert all(r.item.owner == owner for r in found)
         return found
 
     def tracked_replicas(store):
@@ -624,7 +639,7 @@ def test_a_restore_visits_only_the_failed_owners_replicas(monkeypatch):
         nonlocal restores, visited
         owner = event.owner
         live = [t for t in sim.names if sim.alive[t]]
-        held = {t: sum(r.meta.owner == owner for r in sim.stores[t].replicas()) for t in live}
+        held = {t: sum(r.item.owner == owner for r in sim.stores[t].replicas()) for t in live}
         restoring.append(owner)
         try:
             on_restore(sim, event)

@@ -189,7 +189,7 @@ class SimulationMachine(RuleBasedStateMachine):
         for terminal, store in self.sim.stores.items():
             replicas = store.replicas()
             for owner in PRODUCERS:
-                expected = [r for r in replicas if r.meta.owner == owner]
+                expected = [r for r in replicas if r.item.owner == owner]
                 assert store.replicas_of(owner) == expected, (terminal, owner)
 
     @invariant()
@@ -198,7 +198,7 @@ class SimulationMachine(RuleBasedStateMachine):
         for terminal, store in self.sim.stores.items():
             for replica in store.replicas():
                 key = replica.fragment.key
-                assert key in index and index.get(key).owner == replica.meta.owner, (terminal, key)
+                assert key in index and index.get(key).owner == replica.item.owner, (terminal, key)
 
     @invariant()
     def held_replicas_carry_drawn_fates(self):
