@@ -1,5 +1,5 @@
 """Backup-peer replica store: admission, usefulness notices, eviction, merging,
-and the one per-owner query (`replicas_of`) that restores and owner notices read.
+and reads of one ascending key list: the whole store, or one owner's run of it.
 
 A peer grants the backup service a fixed byte quota. Incoming fragments
 are admitted only into space left free by the last purge of replicas
@@ -15,8 +15,11 @@ the description an owner sends with every fragment.
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Callable, Iterable, Optional
 
 from .dispersal import HEADER_SIZE, chunk_size
@@ -94,12 +97,12 @@ class ReplicaStore:
     fires for every removal so callers can follow occupancy and log it.
 
     Besides the replicas, the store keeps four indexes up to date on
-    every insertion and deletion: a heap of (lifetime, key) for expiry,
-    the set of keys no longer live, and the keys held per item id and per
-    owner. A purge therefore costs O(due + non-live) rather than a sort of
-    the whole store, and nothing when nothing is due or non-live; a
-    notice touches only the named item's replicas; and `replicas_of`
-    lists an owner's replicas in key order without visiting anyone else's.
+    every insertion and deletion: every held key in one ascending list, a
+    heap of (lifetime, key) for expiry, the set of keys no longer live,
+    and the keys held per item id. A purge therefore costs O(due +
+    non-live) rather than a sort of the whole store; a notice touches only
+    the named item's replicas; and `replicas()` and `replicas_of` read
+    the key list, whole or the owner's run of it, without sorting.
     A replica's `state` changes only through `notify`, and its frozen
     `item` not at all, while it is held: a raised priority in the owner's
     index replaces the index's `DataItem` and leaves the replica's as saved.
@@ -121,6 +124,9 @@ class ReplicaStore:
             raise UsageError(f"quota must be >= 0, got {quota_bytes}")
         if not 0.0 < per_owner_cap <= 1.0:
             raise UsageError(f"per-owner cap must be in (0, 1], got {per_owner_cap}")
+        for name, weight in (("w_age", w_age), ("w_res", w_res), ("w_size", w_size)):
+            if not (math.isfinite(weight) and weight >= 0.0):
+                raise UsageError(f"{name} must be finite and >= 0, got {weight}")
         self.terminal_id = terminal_id
         self.quota_bytes = quota_bytes
         self.w_age = w_age
@@ -130,10 +136,10 @@ class ReplicaStore:
         self._pin_check = pin_check or (lambda item_id, version: False)
         self._on_delete = on_delete
         self._replicas: dict[ReplicaKey, Replica] = {}
+        self._keys: list[ReplicaKey] = []  # every held key, ascending
         self._expiry: list[tuple[float, ReplicaKey]] = []  # may hold stale entries
         self._not_live: set[ReplicaKey] = set()
         self._by_item: dict[str, set[ReplicaKey]] = {}
-        self._by_owner: dict[str, set[ReplicaKey]] = {}
         self._used = 0
         self._used_by_owner: dict[str, int] = {}
         self._merge_counter = 0
@@ -166,32 +172,34 @@ class ReplicaStore:
         return self._replicas[key]
 
     def replicas(self) -> list[Replica]:
-        return [self._replicas[k] for k in sorted(self._replicas)]
+        return [self._replicas[k] for k in self._keys]
 
     def item_ids(self) -> list[str]:
         """Ids of the items held, sorted: a sort of the items, not of the store."""
         return sorted(self._by_item)
 
     def replicas_of(self, owner: str) -> list[Replica]:
-        """The replicas held for one owner, in key order, through the per-owner
-        index: only that owner's replicas are visited."""
-        return [self._replicas[key] for key in sorted(self._by_owner.get(owner, ()))]
+        """The replicas held for one owner, in key order: the owner's run of
+        the key list, found by bisection, so only its replicas are visited."""
+        found = []
+        for key in islice(self._keys, bisect_left(self._keys, (owner,)), None):
+            if key[0] != owner:
+                break
+            found.append(self._replicas[key])
+        return found
 
     def _pinned(self, replica: Replica) -> bool:
         return self._pin_check(replica.fragment.item_id, replica.fragment.version)
 
     def _delete(self, key: ReplicaKey, reason: str) -> None:
         replica = self._replicas.pop(key)
+        del self._keys[bisect_left(self._keys, key)]
         self._not_live.discard(key)
         owner, item_id = key[0], key[1]
         same_item = self._by_item[item_id]
         same_item.discard(key)
         if not same_item:
             del self._by_item[item_id]
-        same_owner = self._by_owner[owner]
-        same_owner.discard(key)
-        if not same_owner:
-            del self._by_owner[owner]
         size = replica.size_bytes
         self._used -= size
         owner_used = self._used_by_owner[owner] - size
@@ -205,6 +213,7 @@ class ReplicaStore:
     def _insert(self, replica: Replica) -> None:
         key = replica.key
         self._replicas[key] = replica
+        insort(self._keys, key)
         lifetime = replica.item.lifetime
         if lifetime is not None:
             heapq.heappush(self._expiry, (lifetime, key))
@@ -212,7 +221,6 @@ class ReplicaStore:
             self._not_live.add(key)
         owner, item_id = key[0], key[1]
         self._by_item.setdefault(item_id, set()).add(key)
-        self._by_owner.setdefault(owner, set()).add(key)
         size = replica.size_bytes
         self._used += size
         self._used_by_owner[owner] = self._used_by_owner.get(owner, 0) + size
@@ -373,6 +381,8 @@ class ReplicaStore:
         key_list = list(keys)
         if not key_list:
             raise UsageError("merge needs at least one replica")
+        if len(set(key_list)) < len(key_list):
+            raise UsageError(f"merge names a replica more than once: {key_list}")
         replicas = []
         for key in key_list:
             if key not in self._replicas:

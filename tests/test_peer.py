@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oppbak.peer
 from oppbak.dispersal import HEADER_SIZE
 from oppbak.model import UsageError
 from oppbak.peer import (
@@ -91,6 +92,13 @@ class TestAccept:
         assert store.accept(*held(frag("a", wire_size=400), "hog"), now=0.0)
         assert not store.accept(*held(frag("b", wire_size=200), "hog"), now=0.0)
         assert store.accept(*held(frag("c", wire_size=400), "other"), now=0.0)
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["w_age", "w_res", "w_size"])
+    def test_eviction_weight_must_be_finite_and_non_negative(self, name, value):
+        with pytest.raises(UsageError, match=name):
+            ReplicaStore("p", 1000, **{name: value})
+        assert getattr(ReplicaStore("p", 1000, **{name: 0.0}), name) == 0.0
 
 
 class TestNotify:
@@ -408,6 +416,17 @@ class TestMerge:
         assert item.mergeable and item.stream == "tracks"
         assert merged.declared_success == 0.9
 
+    def test_repeated_key_is_a_usage_error_and_deletes_nothing(self):
+        store = ReplicaStore("p", 10**6)
+        store.accept(*self._log("log1", [b"a"]), now=0.0)
+        key = ("t00", "log1", 1, 0)
+        used = store.used_bytes
+        with pytest.raises(UsageError):
+            store.merge([key, key], now=1.0)
+        assert len(store) == 1
+        assert store.used_bytes == store.recomputed_used_bytes() == used
+        assert store.get(key).fragment.payload == b"a"
+
     def test_non_mergeable_rejected(self):
         store = ReplicaStore("p", 10**6)
         store.accept(*self._log("log1", [b"a"]), now=0.0)
@@ -461,6 +480,24 @@ class TestReplicasOf:
         assert [r.key for r in store.replicas_of("t00")] == [
             ("t00", "a", 1, 0), ("t00", "a", 1, 2), ("t00", "a", 2, 0), ("t00", "b", 1, 0)]
         assert store.replicas_of("unknown") == []
+
+    def test_reads_do_not_sort(self, monkeypatch):
+        store = ReplicaStore("p", 10**6)
+        for owner, item_id, index in (("t01", "b", 0), ("t00", "c", 1), ("t01", "a", 0),
+                                      ("t00", "c", 0), ("t00", "a", 0)):
+            store.accept(*held(frag(item_id, index=index, wire_size=100), owner), now=0.0)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("a store read sorted")
+
+        monkeypatch.setattr(oppbak.peer, "sorted", no_sort, raising=False)
+        assert [r.key for r in store.replicas()] == [
+            ("t00", "a", 1, 0), ("t00", "c", 1, 0), ("t00", "c", 1, 1),
+            ("t01", "a", 1, 0), ("t01", "b", 1, 0)]
+        assert [r.key for r in store.replicas_of("t00")] == [
+            ("t00", "a", 1, 0), ("t00", "c", 1, 0), ("t00", "c", 1, 1)]
+        assert [r.key for r in store.replicas_of("t01")] == [
+            ("t01", "a", 1, 0), ("t01", "b", 1, 0)]
 
     def test_consistent_after_eviction(self):
         store = ReplicaStore("p", 10**6, w_size=0.0, w_res=0.0)

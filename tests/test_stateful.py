@@ -188,6 +188,9 @@ class SimulationMachine(RuleBasedStateMachine):
     def replicas_of_matches_full_scan(self):
         for terminal, store in self.sim.stores.items():
             replicas = store.replicas()
+            keys = [r.key for r in replicas]
+            assert all(a < b for a, b in zip(keys, keys[1:])), terminal
+            assert len(keys) == len(store), terminal
             for owner in PRODUCERS:
                 expected = [r for r in replicas if r.item.owner == owner]
                 assert store.replicas_of(owner) == expected, (terminal, owner)
