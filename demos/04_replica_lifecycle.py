@@ -48,7 +48,7 @@ print(f"accept cat-pic:   {store.accept(*saved, now=10.0) is not None} "
       f"(used {store.used_bytes}/{store.quota_bytes})")
 
 # -- the owner updates the report: v1 superseded but still protecting v2 -------
-store.notify(NoticeSource.OWNER_NOTICE, "report", 2)
+store.notify(NoticeSource.OWNER_NOTICE, "alice", "report", 2)
 state = store.get(("alice", "report", 1, 0)).state.value
 print(f"\nowner announced v2 -> held v1 is now '{state}'")
 print(f"v1 pinned while v2 is off-server: {index.pinned(('report', 1))}")
@@ -63,7 +63,7 @@ print(f"report v1 still held: {('alice', 'report', 1, 0) in store}")
 
 # -- v2 reaches the server: the pin releases and v1 is purgeable ---------------
 index.mark_on_server(("report", 2))
-store.notify(NoticeSource.SERVER_NOTICE, "report", 2)
+store.notify(NoticeSource.SERVER_NOTICE, "alice", "report", 2)
 print(f"\nafter v2 hits the server, v1 pinned: {index.pinned(('report', 1))}")
 store.purge(now=30.0)
 print(f"store now holds {len(store)} replicas, {store.used_bytes} bytes")

@@ -330,7 +330,12 @@ def pack_fragment(fragment: Fragment) -> bytes:
 
 
 def unpack_fragment(wire: bytes) -> Fragment:
-    """Parse wire bytes back into a fragment; exact inverse of `pack_fragment`."""
+    """Parse wire bytes back into a fragment; exact inverse of `pack_fragment`.
+
+    Wire bytes come from outside, so every malformed record raises
+    `FragmentMismatch`: a short record, a payload of the wrong size, an id
+    slot that is not UTF-8, or an index or (n, k) no fragment can have.
+    """
     if len(wire) < HEADER_SIZE:
         raise FragmentMismatch(f"wire record of {len(wire)} bytes is shorter than a header")
     slot, index, n, k, original_size, version = _HEADER.unpack_from(wire)
@@ -340,12 +345,8 @@ def unpack_fragment(wire: bytes) -> Fragment:
         raise FragmentMismatch(
             f"payload of {len(payload)} bytes does not match chunk size {expected}"
         )
-    return Fragment(
-        item_id=slot.rstrip(b"\x00").decode("utf-8"),
-        version=version,
-        index=index,
-        n=n,
-        k=k,
-        original_size=original_size,
-        payload=payload,
-    )
+    try:
+        item_id = slot.rstrip(b"\x00").decode("utf-8")
+        return Fragment(item_id, version, index, n, k, original_size, payload)
+    except (UnicodeDecodeError, UsageError) as exc:
+        raise FragmentMismatch(f"malformed fragment header: {exc}") from exc

@@ -1,5 +1,6 @@
 """Backup-peer replica store: admission, usefulness notices, eviction, merging,
-and reads of one ascending key list: the whole store, or one owner's run of it.
+and reads of one ascending key list: the whole store, one owner's run of it,
+or the run of one owner's item that a notice names.
 
 A peer grants the backup service a fixed byte quota. Incoming fragments
 are admitted only into space left free by the last purge of replicas
@@ -55,8 +56,6 @@ class Replica:
     """One held fragment, its owner's `DataItem` as saved, and its lifecycle state.
 
     `declared_success`: the restore probability the owner declared with it.
-    `sources`: (owner, item id, version) of each version a merged replica
-    stands for; empty for a single fragment's replica, which is its own.
     `fate`: can the owner reach this holder to restore it? A simulator draws
     it at the save; None (never drawn) reads as unreachable.
     """
@@ -67,7 +66,6 @@ class Replica:
     received_at: float
     size_bytes: int  # the fragment's stored size, computed once at admission
     state: ReplicaState = ReplicaState.LIVE
-    sources: frozenset[tuple[str, str, int]] = frozenset()
     fate: Optional[bool] = None
 
     @property
@@ -96,13 +94,13 @@ class ReplicaStore:
     retained; by default nothing is pinned. `on_delete(replica, reason)`
     fires for every removal so callers can follow occupancy and log it.
 
-    Besides the replicas, the store keeps four indexes up to date on
+    Besides the replicas, the store keeps three indexes up to date on
     every insertion and deletion: every held key in one ascending list, a
-    heap of (lifetime, key) for expiry, the set of keys no longer live,
-    and the keys held per item id. A purge therefore costs O(due +
-    non-live) rather than a sort of the whole store; a notice touches only
-    the named item's replicas; and `replicas()` and `replicas_of` read
-    the key list, whole or the owner's run of it, without sorting.
+    heap of (lifetime, key) for expiry, and the set of keys no longer
+    live. A purge therefore costs O(due + non-live) rather than a sort of
+    the whole store; and `replicas()`, `replicas_of`, `held_items` and
+    `notify` read the key list, whole or the run of one owner or of one
+    owner's item, without sorting.
     A replica's `state` changes only through `notify`, and its frozen
     `item` not at all, while it is held: a raised priority in the owner's
     index replaces the index's `DataItem` and leaves the replica's as saved.
@@ -139,7 +137,6 @@ class ReplicaStore:
         self._keys: list[ReplicaKey] = []  # every held key, ascending
         self._expiry: list[tuple[float, ReplicaKey]] = []  # may hold stale entries
         self._not_live: set[ReplicaKey] = set()
-        self._by_item: dict[str, set[ReplicaKey]] = {}
         self._used = 0
         self._used_by_owner: dict[str, int] = {}
         self._merge_counter = 0
@@ -174,9 +171,9 @@ class ReplicaStore:
     def replicas(self) -> list[Replica]:
         return [self._replicas[k] for k in self._keys]
 
-    def item_ids(self) -> list[str]:
-        """Ids of the items held, sorted: a sort of the items, not of the store."""
-        return sorted(self._by_item)
+    def held_items(self) -> list[tuple[str, str]]:
+        """(owner, item id) of each item held, in key order: one pass, no sort."""
+        return list(dict.fromkeys(key[:2] for key in self._keys))
 
     def replicas_of(self, owner: str) -> list[Replica]:
         """The replicas held for one owner, in key order: the owner's run of
@@ -195,11 +192,7 @@ class ReplicaStore:
         replica = self._replicas.pop(key)
         del self._keys[bisect_left(self._keys, key)]
         self._not_live.discard(key)
-        owner, item_id = key[0], key[1]
-        same_item = self._by_item[item_id]
-        same_item.discard(key)
-        if not same_item:
-            del self._by_item[item_id]
+        owner = key[0]
         size = replica.size_bytes
         self._used -= size
         owner_used = self._used_by_owner[owner] - size
@@ -219,11 +212,9 @@ class ReplicaStore:
             heapq.heappush(self._expiry, (lifetime, key))
         if replica.state is not ReplicaState.LIVE:
             self._not_live.add(key)
-        owner, item_id = key[0], key[1]
-        self._by_item.setdefault(item_id, set()).add(key)
         size = replica.size_bytes
         self._used += size
-        self._used_by_owner[owner] = self._used_by_owner.get(owner, 0) + size
+        self._used_by_owner[key[0]] = self._used_by_owner.get(key[0], 0) + size
 
     # -- lifecycle ------------------------------------------------------
 
@@ -284,21 +275,25 @@ class ReplicaStore:
         self._insert(replica)
         return replica
 
-    def notify(self, source: NoticeSource, item_id: str, version: int) -> int:
-        """Apply a usefulness notice; returns how many replicas changed state.
+    def notify(self, source: NoticeSource, owner: str, item_id: str, version: int) -> int:
+        """Apply a usefulness notice about one owner's item; returns how many
+        replicas changed state.
 
         Server-side saves (whether uploaded by this terminal or reported
-        by the server) confirm every held replica of the item up to and
-        including the named version. An owner notice names the owner's
-        new current version and outdates everything strictly older.
-        Notices for unheld items are silently ignored, and a replica
-        leaves the live state at most once. Only the named item's
-        replicas are visited.
+        by the server) confirm every held replica of the owner's item up
+        to and including the named version. An owner notice names the
+        owner's new current version and outdates everything strictly
+        older. Another owner's replicas of the same item id are left as
+        they are, notices for unheld items are silently ignored, and a
+        replica leaves the live state at most once. Only the item's run
+        of the key list, found by bisection, is visited.
         """
         owner_notice = source is NoticeSource.OWNER_NOTICE
         new_state = ReplicaState.OUTDATED if owner_notice else ReplicaState.CONFIRMED_SAVED
         changed = 0
-        for key in self._by_item.get(item_id, ()):
+        for key in islice(self._keys, bisect_left(self._keys, (owner, item_id)), None):
+            if key[0] != owner or key[1] != item_id:
+                break
             replica = self._replicas[key]
             if replica.state is not ReplicaState.LIVE:
                 continue
@@ -425,7 +420,6 @@ class ReplicaStore:
             max(r.declared_success for r in replicas),
             received_at=min(r.received_at for r in replicas),
             size_bytes=_stored_size(merged_fragment),
-            sources=frozenset().union(*(r.sources or {r.key[:3]} for r in replicas)),
         )
         for replica in replicas:
             self._delete(replica.key, "merged")

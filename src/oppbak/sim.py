@@ -571,7 +571,7 @@ class Simulation:
         for item_id, held in newest_held.items():
             if held >= (latest := self.index.latest_version(item_id)):
                 continue
-            if store.notify(NoticeSource.OWNER_NOTICE, item_id, latest):
+            if store.notify(NoticeSource.OWNER_NOTICE, owner, item_id, latest):
                 self._trace("NOTICE", kind="owner", from_=owner, to=peer, item=(item_id, latest))
 
     def _on_encounter(self, event: EncounterEvent) -> None:
@@ -632,9 +632,9 @@ class Simulation:
             self._trace("UPLOAD_ITEM", item.size_bytes, from_=owner, item=key)
         return budget
 
-    def _flush_held_replicas(self, terminal: str, budget: int) -> set[str]:
+    def _flush_held_replicas(self, terminal: str, budget: int) -> set[tuple[str, str]]:
         store = self.stores[terminal]
-        uploaded_ids: set[str] = set()
+        uploaded_ids: set[tuple[str, str]] = set()  # (owner, item id)
         for replica in store.replicas():
             key = replica.fragment.key
             if self.index.is_on_server(key):
@@ -650,21 +650,21 @@ class Simulation:
             have[replica.fragment.index] = replica.fragment
             self.server_fragments[key] = have
             self.bytes_to_server += size
-            uploaded_ids.add(key[0])
+            uploaded_ids.add((replica.item.owner, key[0]))
             self._trace("UPLOAD_FRAG", size, from_=terminal, item=key, frag=replica.fragment.index)
             if len(have) >= self.index.get(key).k:
                 self._mark_served(key)
         return uploaded_ids
 
-    def _confirm_served(self, terminal: str, uploaded_ids: set[str]) -> None:
+    def _confirm_served(self, terminal: str, uploaded_ids: set[tuple[str, str]]) -> None:
         store = self.stores[terminal]
-        for item_id in store.item_ids():
+        for owner, item_id in store.held_items():
             vmax = self.index.latest_on_server(item_id)
             if vmax is None:
                 continue
-            uploaded = item_id in uploaded_ids
+            uploaded = (owner, item_id) in uploaded_ids
             source = NoticeSource.SAVE_BY_ME if uploaded else NoticeSource.SERVER_NOTICE
-            if store.notify(source, item_id, vmax):
+            if store.notify(source, owner, item_id, vmax):
                 self._trace("NOTICE", kind=source.value, to=terminal, item=(item_id, vmax))
         store.purge(self.now)
 

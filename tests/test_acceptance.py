@@ -240,7 +240,7 @@ def test_c05_old_version_pinned_through_eviction_storm():
         fodder_keys.append(("t01", f"junk{i}", 1, 0))
     # the owner announces version 2: the old copy is superseded but pinned,
     # because version 2 has not reached the server
-    store.notify(NoticeSource.OWNER_NOTICE, "doc", 2)
+    store.notify(NoticeSource.OWNER_NOTICE, "t00", "doc", 2)
     assert store.get(("t00", "doc", 1, 0)).state is ReplicaState.OUTDATED
     assert index.pinned(("doc", 1))
 
@@ -257,7 +257,7 @@ def test_c05_old_version_pinned_through_eviction_storm():
 
     # version 2 reaches the server; the pin releases and v1 becomes evictable
     index.mark_on_server(("doc", 2))
-    store.notify(NoticeSource.SERVER_NOTICE, "doc", 2)
+    store.notify(NoticeSource.SERVER_NOTICE, "t00", "doc", 2)
     assert not index.pinned(("doc", 1))
     purged = store.purge(now=11.0)
     assert purged == [("t00", "doc", 1, 0)]
@@ -420,6 +420,7 @@ def test_c10_store_accounting_over_random_op_soup():
         elif roll < 0.72:
             store.notify(
                 rng.choice(list(NoticeSource)),
+                f"t{rng.randrange(6)}",
                 f"i{rng.randrange(300)}",
                 rng.randint(1, 3),
             )

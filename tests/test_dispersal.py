@@ -294,3 +294,23 @@ class TestWireFormat:
             unpack_fragment(wire[: HEADER_SIZE - 1])
         with pytest.raises(FragmentMismatch):
             unpack_fragment(wire[:-1])
+
+    @staticmethod
+    def _wire(slot=b"a", index=1, n=3, k=2, size=6):
+        """A wire record with the given header fields and a payload of the size k implies."""
+        payload = bytes(chunk_size(size, k) if k else 0)
+        return (slot.ljust(32, b"\x00") + bytes([index, n, k])
+                + size.to_bytes(8, "big") + (1).to_bytes(8, "big") + payload)
+
+    @pytest.mark.parametrize("fields", [
+        pytest.param({"slot": b"\xff\xfe"}, id="id-not-utf8"),
+        pytest.param({"index": 3}, id="index-equals-n"),
+        pytest.param({"index": 255}, id="index-above-n"),
+        pytest.param({"k": 0}, id="k-zero"),
+        pytest.param({"k": 4}, id="k-above-n"),
+        pytest.param({"n": 0, "index": 0}, id="n-zero"),
+    ])
+    def test_malformed_header_is_a_fragment_mismatch(self, fields):
+        assert unpack_fragment(self._wire()).key == ("a", 1)
+        with pytest.raises(FragmentMismatch):
+            unpack_fragment(self._wire(**fields))

@@ -60,7 +60,6 @@ class TestAccept:
         store = ReplicaStore("p", 1000)
         replica = store.accept(*held(frag()), now=0.0)
         assert store.get(replica.key) is replica
-        assert replica.sources == frozenset()  # a single fragment's replica is its own source
 
     def test_fragment_of_another_version_is_a_usage_error(self):
         store = ReplicaStore("p", 1000)
@@ -105,14 +104,14 @@ class TestNotify:
     def test_server_notice_confirms(self):
         store = ReplicaStore("p", 1000)
         store.accept(*held(frag("a", version=1)), now=0.0)
-        assert store.notify(NoticeSource.SERVER_NOTICE, "a", 1) == 1
+        assert store.notify(NoticeSource.SERVER_NOTICE, "t00", "a", 1) == 1
         assert store.get(("t00", "a", 1, 0)).state is ReplicaState.CONFIRMED_SAVED
 
     def test_server_notice_covers_older_versions(self):
         store = ReplicaStore("p", 1000)
         store.accept(*held(frag("a", version=1)), now=0.0)
         store.accept(*held(frag("a", version=3)), now=0.0)
-        store.notify(NoticeSource.SERVER_NOTICE, "a", 2)
+        store.notify(NoticeSource.SERVER_NOTICE, "t00", "a", 2)
         assert store.get(("t00", "a", 1, 0)).state is ReplicaState.CONFIRMED_SAVED
         assert store.get(("t00", "a", 3, 0)).state is ReplicaState.LIVE
 
@@ -120,7 +119,7 @@ class TestNotify:
         store = ReplicaStore("p", 1000)
         store.accept(*held(frag("a", version=1)), now=0.0)
         store.accept(*held(frag("a", version=2)), now=0.0)
-        store.notify(NoticeSource.OWNER_NOTICE, "a", 2)
+        store.notify(NoticeSource.OWNER_NOTICE, "t00", "a", 2)
         assert store.get(("t00", "a", 1, 0)).state is ReplicaState.OUTDATED
         assert store.get(("t00", "a", 2, 0)).state is ReplicaState.LIVE
 
@@ -133,25 +132,30 @@ class TestNotify:
         assert [r.key for r in store.replicas_of("t01")] == [("t01", "a", 1, 0),
                                                               ("t01", "b", 1, 0)]
         assert store.replicas_of("t02") == []
-        assert store.notify(NoticeSource.SERVER_NOTICE, "a", 1) == 2  # both owners' replicas
+        # a notice names one owner's item: the other owner's replica of "a" stays live
+        assert store.notify(NoticeSource.SERVER_NOTICE, "t00", "a", 1) == 1
+        assert store.notify(NoticeSource.OWNER_NOTICE, "t01", "a", 2) == 1
+        assert [r.state for r in store.replicas()] == [
+            ReplicaState.CONFIRMED_SAVED, ReplicaState.OUTDATED, ReplicaState.LIVE]
+        assert store.notify(NoticeSource.SERVER_NOTICE, "t02", "a", 1) == 0
 
     def test_unheld_item_is_noop(self):
         store = ReplicaStore("p", 1000)
-        assert store.notify(NoticeSource.SERVER_NOTICE, "ghost", 5) == 0
+        assert store.notify(NoticeSource.SERVER_NOTICE, "t00", "ghost", 5) == 0
 
     def test_idempotent(self):
         store = ReplicaStore("p", 1000)
         store.accept(*held(frag("a", version=1)), now=0.0)
-        store.notify(NoticeSource.OWNER_NOTICE, "a", 2)
+        store.notify(NoticeSource.OWNER_NOTICE, "t00", "a", 2)
         states = [r.state for r in store.replicas()]
-        assert store.notify(NoticeSource.OWNER_NOTICE, "a", 2) == 0
+        assert store.notify(NoticeSource.OWNER_NOTICE, "t00", "a", 2) == 0
         assert [r.state for r in store.replicas()] == states
 
     def test_outdated_not_overridden_by_confirmation(self):
         store = ReplicaStore("p", 1000)
         store.accept(*held(frag("a", version=1)), now=0.0)
-        store.notify(NoticeSource.OWNER_NOTICE, "a", 2)
-        store.notify(NoticeSource.SERVER_NOTICE, "a", 2)
+        store.notify(NoticeSource.OWNER_NOTICE, "t00", "a", 2)
+        store.notify(NoticeSource.SERVER_NOTICE, "t00", "a", 2)
         assert store.get(("t00", "a", 1, 0)).state is ReplicaState.OUTDATED
 
 
@@ -167,7 +171,7 @@ class TestPurge:
                                   ("a", 20.0), ("pinned", None)):
             store.accept(*held(frag(item_id), lifetime=lifetime), now=0.0)
         for item_id in ("c", "a", "pinned"):
-            store.notify(NoticeSource.OWNER_NOTICE, item_id, 2)
+            store.notify(NoticeSource.OWNER_NOTICE, "t00", item_id, 2)
         assert store.purge(now=5.0) == [("t00", "a", 1, 0), ("t00", "c", 1, 0)]
         # in key order, not insertion order; the pinned outdated copy stays
         assert deletions == [("a", "useless"), ("c", "useless")]
@@ -181,14 +185,14 @@ class TestPurge:
         store = ReplicaStore("p", 10_000,
                              on_delete=lambda replica, reason: deletions.append(reason))
         store.accept(*held(frag("a"), lifetime=10.0), now=0.0)
-        store.notify(NoticeSource.SERVER_NOTICE, "a", 1)
+        store.notify(NoticeSource.SERVER_NOTICE, "t00", "a", 1)
         store.purge(now=10.0)
         assert deletions == ["expired"]
 
     def test_reinserted_key_expires_on_its_own_lifetime(self):
         store = ReplicaStore("p", 10_000)
         store.accept(*held(frag("a"), lifetime=10.0), now=0.0)
-        store.notify(NoticeSource.SERVER_NOTICE, "a", 1)
+        store.notify(NoticeSource.SERVER_NOTICE, "t00", "a", 1)
         assert store.purge(now=1.0) == [("t00", "a", 1, 0)]
         store.accept(*held(frag("a"), lifetime=50.0), now=2.0)
         assert store.purge(now=20.0) == []  # the first copy's expiry is stale
@@ -214,7 +218,7 @@ class TestPurge:
 
         store = ReplicaStore("p", 10_000, pin_check=pin_check)
         store.accept(*held(frag("a")), now=0.0)
-        store.notify(NoticeSource.OWNER_NOTICE, "a", 2)
+        store.notify(NoticeSource.OWNER_NOTICE, "t00", "a", 2)
         for now in (1.0, 2.0):
             assert store.purge(now=now) == []
         assert checks == ["a", "a"]  # every purge looks at the non-live replica
@@ -336,7 +340,7 @@ class TestEvict:
         store = ReplicaStore("p", 900)
         store.accept(*held(frag("a", version=1, wire_size=300)), now=0.0)
         store.accept(*held(frag("b", wire_size=300)), now=0.0)
-        store.notify(NoticeSource.SERVER_NOTICE, "a", 1)
+        store.notify(NoticeSource.SERVER_NOTICE, "t00", "a", 1)
         deleted = store.evict(200, now=10.0)
         assert deleted == [("t00", "a", 1, 0)]  # useless copy went, live stayed
         assert ("t00", "b", 1, 0) in store
@@ -448,24 +452,23 @@ class TestMerge:
         with pytest.raises(UsageError):
             store.merge([("t00", "log1", 1, 0), ("t00", "split", 1, 0)], now=1.0)
 
-    def test_sources_name_each_owners_merged_version(self):
+    def test_merged_replica_is_held_under_the_lowest_owner(self):
         store = ReplicaStore("p", 10**6)
         store.accept(*self._log("log1", [b"a"]), now=0.0)
         store.accept(*self._log("log2", [b"b"], owner="t01"), now=0.0)
         merged = store.get(store.merge([("t00", "log1", 1, 0), ("t01", "log2", 1, 0)], now=1.0))
-        assert merged.sources == {("t00", "log1", 1), ("t01", "log2", 1)}
         # held under the lowest owner, as one replica of its own item
         assert store.replicas_of("t00") == [merged]
         assert store.replicas_of("t01") == []
 
 
-    def test_merging_a_merged_replica_keeps_every_source(self):
+    def test_merging_a_merged_replica_keeps_every_entry(self):
         store = ReplicaStore("p", 10**6)
         for item_id, entry in (("log1", b"a"), ("log2", b"b"), ("log3", b"c")):
             store.accept(*self._log(item_id, [entry]), now=0.0)
         first = store.merge([("t00", "log1", 1, 0), ("t00", "log2", 1, 0)], now=1.0)
         merged = store.get(store.merge([first, ("t00", "log3", 1, 0)], now=2.0))
-        assert merged.sources == {("t00", "log1", 1), ("t00", "log2", 1), ("t00", "log3", 1)}
+        assert merged.fragment.payload == b"a\nb\nc"
         assert len(store) == 1
         assert store.replicas_of("t00") == [merged]
 
@@ -552,6 +555,7 @@ class TestAccountingProperty:
             elif op < 0.75:
                 store.notify(
                     rng.choice(list(NoticeSource)),
+                    f"t{rng.randrange(5)}",
                     f"i{rng.randrange(200)}",
                     rng.randint(1, 3),
                 )

@@ -142,7 +142,7 @@ class TestScriptedRuns:
             saved = save(terminal, fragment, item, declared_success)
             if saved and fragment.index == 1:  # an owner notice names a newer version
                 store = terminal._sim.stores[terminal.terminal_id]
-                store.notify(NoticeSource.OWNER_NOTICE, item.id, item.version + 1)
+                store.notify(NoticeSource.OWNER_NOTICE, item.owner, item.id, item.version + 1)
                 store.purge(terminal._sim.now)
             return saved
 

@@ -9,7 +9,8 @@ recomputation from scratch:
 * `purge(now)` deletes exactly what a full scan selects, in key order
   and for the same reasons;
 * every store's byte count equals the recomputed sum;
-* every store's per-owner item index equals a full scan of its keys;
+* every store's key list is strictly ascending, and its per-owner
+  replicas and held (owner, item id) pairs equal a full scan of it;
 * the version index's peer holdings equal the union of store contents;
 * every held replica carries a drawn channel fate;
 * the simulator keeps uploaded fragments only for versions partly
@@ -194,6 +195,8 @@ class SimulationMachine(RuleBasedStateMachine):
             for owner in PRODUCERS:
                 expected = [r for r in replicas if r.item.owner == owner]
                 assert store.replicas_of(owner) == expected, (terminal, owner)
+            pairs = [(r.item.owner, r.fragment.item_id) for r in replicas]
+            assert store.held_items() == sorted(set(pairs)), terminal
 
     @invariant()
     def held_replicas_belong_to_registered_versions_of_their_owner(self):
