@@ -5,16 +5,9 @@ from oppbak import (
     DataItem,
     Location,
     VersionIndex,
-    agglomerate,
     detect_conflict,
     propagate_priority,
 )
-
-# -- mutually dependent items travel as one unit --------------------------------
-config_file = DataItem(id="app-config", owner="me", size_bytes=900, priority=0.4)
-keyring = DataItem(id="app-keys", owner="me", size_bytes=300, priority=0.9)
-bundle = agglomerate([config_file, keyring])
-print(f"agglomerated '{bundle.id}': {bundle.size_bytes} B at priority {bundle.priority}")
 
 # -- newer data pulls its history up with it -------------------------------------
 index = VersionIndex()

@@ -1,5 +1,5 @@
 # Life of a replica on a backup peer: admission, notices, pinning,
-# eviction under pressure, and merging of append logs.
+# and eviction under pressure.
 # Run: python demos/04_replica_lifecycle.py
 
 from oppbak import (
@@ -67,18 +67,3 @@ store.notify(NoticeSource.SERVER_NOTICE, "alice", "report", 2)
 print(f"\nafter v2 hits the server, v1 pinned: {index.pinned(('report', 1))}")
 store.purge(now=30.0)
 print(f"store now holds {len(store)} replicas, {store.used_bytes} bytes")
-
-# -- merging sensor-style append logs -------------------------------------------
-print("\nmerging two encounter logs from the same stream:")
-for name, lines in (("bird-12", [b"w3 met w9", b"w3 met w4"]),
-                    ("bird-47", [b"w3 met w4", b"w4 met w7"])):
-    saved = whole_copy(name, 1, b"\n".join(lines), owner=name,
-                       mergeable=True, stream="encounters")
-    store.accept(*saved, now=40.0)
-before = store.used_bytes
-merged_key = store.merge(
-    [("bird-12", "bird-12", 1, 0), ("bird-47", "bird-47", 1, 0)], now=41.0
-)
-merged = store.get(merged_key)
-print(f"    union: {merged.fragment.payload!r}")
-print(f"    freed {before - store.used_bytes} bytes, no entry lost")

@@ -23,13 +23,11 @@ from .model import (
     Fragment,
     IntegrityError,
     Location,
-    Production,
     UnknownItemError,
     UsageError,
     VersionIndex,
     VersionKey,
     VersionRecord,
-    agglomerate,
     detect_conflict,
     propagate_priority,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "Location",
     "MetricsReport",
     "NoticeSource",
-    "Production",
     "Replica",
     "ReplicaState",
     "ReplicaStore",
@@ -108,7 +105,6 @@ __all__ = [
     "VersionIndex",
     "VersionKey",
     "VersionRecord",
-    "agglomerate",
     "calibration_check",
     "composite_success",
     "config_from_dict",

@@ -312,20 +312,28 @@ def reconstruct(fragments: Iterable[Fragment]) -> bytes:
 
 
 def pack_fragment(fragment: Fragment) -> bytes:
-    """Serialize a fragment to its wire bytes (header then chunk)."""
+    """Serialize a fragment to its wire bytes (header then chunk).
+
+    A fragment the header cannot carry raises `UsageError`: no payload, a
+    payload other than the chunk size the header implies, an id over 32
+    bytes, an index or (n, k) over 255, or a size or version outside
+    0..2**64 - 1.
+    """
     if fragment.payload is None:
         raise UsageError("cannot pack a metadata-only fragment")
+    if len(fragment.payload) != chunk_size(fragment.original_size, fragment.k):
+        raise UsageError(
+            f"payload of {len(fragment.payload)} bytes does not match chunk size "
+            f"{chunk_size(fragment.original_size, fragment.k)}"
+        )
     slot = fragment.item_id.encode("utf-8")
     if len(slot) > 32:
         raise UsageError(f"item id {fragment.item_id!r} exceeds the 32-byte header slot")
-    header = _HEADER.pack(
-        slot,
-        fragment.index,
-        fragment.n,
-        fragment.k,
-        fragment.original_size,
-        fragment.version,
-    )
+    try:
+        header = _HEADER.pack(slot, fragment.index, fragment.n, fragment.k,
+                              fragment.original_size, fragment.version)
+    except struct.error as exc:
+        raise UsageError(f"fragment {fragment.key} does not fit the wire header: {exc}") from exc
     return header + fragment.payload
 
 

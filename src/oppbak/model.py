@@ -1,10 +1,11 @@
 """Data items, fragments, and the version/dependency graph.
 
 Every other layer builds on the types here: an owner's data is a set of
-versioned items connected by temporal dependency edges, each item carries
-an (n, k) fragmentation plan, and a ``VersionIndex`` tracks which
-versions have reached the server, which answers pinning. Which peers hold
-a version is the peers' own record; a conflict check is handed it.
+versioned items connected by temporal dependency edges, each version is
+backed up on its own under an (n, k) fragmentation plan, and a
+``VersionIndex`` tracks which versions have reached the server, which
+answers pinning. Which peers hold a version is the peers' own record; a
+conflict check is handed it.
 """
 
 from __future__ import annotations
@@ -29,22 +30,16 @@ class UnknownItemError(KeyError):
     """Lookup of an item id or version that was never registered."""
 
 
-class Production(Enum):
-    CREATE_ONLY = "create_only"
-    READ_WRITE = "read_write"
-    APPEND_ONLY = "append_only"
-
-
 @dataclass(frozen=True, slots=True)
 class DataItem:
-    """One version of one unit of user data.
+    """One version of one unit of user data, as its owner describes it to peers.
 
     ``priority`` is the owner's target restore probability in [0, 1].
+    ``lifetime`` is the time at which the version expires; None never does.
     ``temporal_deps`` lists (item id, version) pairs this version is
     useless without; the referenced versions must predate this one.
-    ``stream`` tags union-mergeable append logs so stores can merge
-    replicas that belong to the same logical sequence. ``key``, built
-    once, is the (id, version) tuple that every map of versions shares.
+    ``key``, built once, is the (id, version) tuple that every map of
+    versions shares.
     """
 
     id: str
@@ -54,11 +49,8 @@ class DataItem:
     n: int = 1
     k: int = 1
     version: int = 1
-    production: Production = Production.CREATE_ONLY
     lifetime: Optional[float] = None
     temporal_deps: tuple[VersionKey, ...] = ()
-    mergeable: bool = False
-    stream: Optional[str] = None
     key: VersionKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -266,50 +258,6 @@ def reachable(roots: Iterable[Node], step: Callable[[Node], Iterable[Node]]) -> 
         seen.add(node)
         stack.extend(step(node))
     return seen
-
-
-def merged_lifetime(lifetimes: Iterable[Optional[float]]) -> Optional[float]:
-    """Lifetime of a unit fused from parts: the longest, unbounded if any is."""
-    values = list(lifetimes)
-    if any(v is None for v in values):
-        return None
-    return max(values)  # type: ignore[type-var, arg-type]
-
-
-def agglomerate(items: list[DataItem]) -> DataItem:
-    """Fuse mutually dependent items into one unit that is backed up whole.
-
-    The result carries the sum of sizes, the highest priority, the union
-    of outside temporal dependencies, and the longest lifetime. A single
-    item is returned unchanged.
-    """
-    if not items:
-        raise UsageError("agglomerate needs at least one item")
-    if len(items) == 1:
-        return items[0]
-    owners = {it.owner for it in items}
-    if len(owners) != 1:
-        raise UsageError(f"cannot agglomerate items of different owners: {sorted(owners)}")
-    member_keys = {it.key for it in items}
-    deps = sorted(
-        {d for it in items for d in it.temporal_deps if d not in member_keys}
-    )
-    streams = {it.stream for it in items}
-    order = [Production.CREATE_ONLY, Production.APPEND_ONLY, Production.READ_WRITE]
-    return DataItem(
-        id="+".join(sorted({it.id for it in items})),
-        owner=items[0].owner,
-        size_bytes=sum(it.size_bytes for it in items),
-        priority=max(it.priority for it in items),
-        n=max(it.n for it in items),
-        k=max(it.k for it in items),
-        version=max(it.version for it in items),
-        production=max((it.production for it in items), key=order.index),
-        lifetime=merged_lifetime(it.lifetime for it in items),
-        temporal_deps=tuple(deps),
-        mergeable=all(it.mergeable for it in items),
-        stream=streams.pop() if len(streams) == 1 else None,
-    )
 
 
 def propagate_priority(

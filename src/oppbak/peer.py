@@ -1,5 +1,5 @@
-"""Backup-peer replica store: admission, usefulness notices, eviction, merging,
-and reads of one ascending key list: the whole store, one owner's run of it,
+"""Backup-peer replica store: admission, usefulness notices, eviction, and
+reads of one ascending key list: the whole store, one owner's run of it,
 or the run of one owner's item that a notice names.
 
 A peer grants the backup service a fixed byte quota. Incoming fragments
@@ -7,10 +7,9 @@ are admitted only into space left free by the last purge of replicas
 that expired or were flagged useless. Under pressure, live
 replicas are scored and deleted oldest/over-provisioned/bulkiest first,
 but never while a replica is pinned (an old version still protecting a
-newer one that has not reached the server). Union-mergeable append logs
-from one logical stream can be squashed into a single replica to free
-space without losing entries. Each replica keeps its owner's `DataItem`,
-the description an owner sends with every fragment.
+newer one that has not reached the server). A replica is held under its
+owner, item id, version and fragment index as sent, and keeps its owner's
+`DataItem`, the description an owner sends with every fragment.
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .dispersal import HEADER_SIZE, chunk_size
-from .model import DataItem, Fragment, UsageError, VersionKey, merged_lifetime, reachable
+from .model import DataItem, Fragment, UsageError, VersionKey, reachable
 
 ReplicaKey = tuple[str, str, int, int]  # (owner, item id, version, fragment index)
 
@@ -139,7 +138,6 @@ class ReplicaStore:
         self._not_live: set[ReplicaKey] = set()
         self._used = 0
         self._used_by_owner: dict[str, int] = {}
-        self._merge_counter = 0
 
     # -- accounting -----------------------------------------------------
 
@@ -203,19 +201,6 @@ class ReplicaStore:
         if self._on_delete is not None:
             self._on_delete(replica, reason)
 
-    def _insert(self, replica: Replica) -> None:
-        key = replica.key
-        self._replicas[key] = replica
-        insort(self._keys, key)
-        lifetime = replica.item.lifetime
-        if lifetime is not None:
-            heapq.heappush(self._expiry, (lifetime, key))
-        if replica.state is not ReplicaState.LIVE:
-            self._not_live.add(key)
-        size = replica.size_bytes
-        self._used += size
-        self._used_by_owner[key[0]] = self._used_by_owner.get(key[0], 0) + size
-
     # -- lifecycle ------------------------------------------------------
 
     def purge(self, now: float) -> list[ReplicaKey]:
@@ -263,7 +248,8 @@ class ReplicaStore:
         if fragment.key != item.key:
             raise UsageError(f"fragment of {fragment.key} paired with item {item.key}")
         owner = item.owner
-        if (owner, fragment.item_id, fragment.version, fragment.index) in self._replicas:
+        key = (owner, fragment.item_id, fragment.version, fragment.index)
+        if key in self._replicas:
             return None
         size = _stored_size(fragment)
         if self._used + size > self.quota_bytes:
@@ -272,7 +258,12 @@ class ReplicaStore:
         if self._used_by_owner.get(owner, 0) + size > owner_cap:
             return None
         replica = Replica(fragment, item, declared_success, received_at=now, size_bytes=size)
-        self._insert(replica)
+        self._replicas[key] = replica
+        insort(self._keys, key)
+        if item.lifetime is not None:
+            heapq.heappush(self._expiry, (item.lifetime, key))
+        self._used += size
+        self._used_by_owner[owner] = self._used_by_owner.get(owner, 0) + size
         return replica
 
     def notify(self, source: NoticeSource, owner: str, item_id: str, version: int) -> int:
@@ -364,67 +355,6 @@ class ReplicaStore:
             if free >= needed_bytes:
                 return deleted
         raise EvictionShortfall(needed_bytes, free, deleted)
-
-    # -- merging ------------------------------------------------------------
-
-    def merge(self, keys: Iterable[ReplicaKey], now: float) -> ReplicaKey:
-        """Squash same-stream mergeable whole-copy replicas into one.
-
-        The merged payload is the deduplicated union of the inputs'
-        newline-separated entries; a single input is returned untouched.
-        """
-        key_list = list(keys)
-        if not key_list:
-            raise UsageError("merge needs at least one replica")
-        if len(set(key_list)) < len(key_list):
-            raise UsageError(f"merge names a replica more than once: {key_list}")
-        replicas = []
-        for key in key_list:
-            if key not in self._replicas:
-                raise UsageError(f"replica {key} is not held")
-            replicas.append(self._replicas[key])
-        if len(replicas) == 1:
-            return replicas[0].key
-        for replica in replicas:
-            f = replica.fragment
-            if not replica.item.mergeable:
-                raise UsageError(f"replica {replica.key} is not mergeable")
-            if f.n != 1 or f.k != 1:
-                raise UsageError(f"replica {replica.key} is fragmented, not a whole copy")
-            if f.payload is None:
-                raise UsageError(f"replica {replica.key} carries no payload to merge")
-        streams = {r.item.stream for r in replicas}
-        if len(streams) != 1 or None in streams:
-            raise UsageError(f"replicas belong to different streams: {sorted(map(str, streams))}")
-        entries: set[bytes] = set()
-        for replica in replicas:
-            entries.update(e for e in replica.fragment.payload.split(b"\n") if e)
-        payload = b"\n".join(sorted(entries))
-        self._merge_counter += 1
-        items = [r.item for r in replicas]
-        item = DataItem(
-            id=f"merged-{self.terminal_id}-{self._merge_counter}",
-            owner=min(i.owner for i in items),
-            size_bytes=len(payload),
-            priority=max(i.priority for i in items),
-            version=max(i.version for i in items),
-            lifetime=merged_lifetime(i.lifetime for i in items),
-            temporal_deps=tuple(sorted({d for i in items for d in i.temporal_deps})),
-            mergeable=True,
-            stream=streams.pop(),
-        )
-        merged_fragment = Fragment(item.id, item.version, 0, 1, 1, len(payload), payload)
-        merged = Replica(
-            merged_fragment,
-            item,
-            max(r.declared_success for r in replicas),
-            received_at=min(r.received_at for r in replicas),
-            size_bytes=_stored_size(merged_fragment),
-        )
-        for replica in replicas:
-            self._delete(replica.key, "merged")
-        self._insert(merged)
-        return merged.key
 
     # -- queries -------------------------------------------------------------
 

@@ -381,14 +381,12 @@ def test_c10_store_accounting_over_random_op_soup():
     now = 0.0
     ops = 0
     pin_candidates: list[tuple[str, int]] = []
-    mergeable_keys: list = []
     for _ in range(10_000):
         now += rng.random()
         roll = rng.random()
         if roll < 0.5:
             item_id = f"i{rng.randrange(300)}"
             version = rng.randint(1, 3)
-            mergeable = rng.random() < 0.15
             payload = b"\n".join(
                 b"entry-%03d" % rng.randrange(80) for _ in range(rng.randint(1, 4))
             )
@@ -405,18 +403,11 @@ def test_c10_store_accounting_over_random_op_soup():
                     priority=rng.random(),
                     declared=rng.random(),
                     lifetime=now + rng.uniform(1, 800) if rng.random() < 0.25 else None,
-                    mergeable=mergeable,
-                    stream="s" if mergeable else None,
                 ),
                 now=now,
             )
             if accepted:
                 pin_candidates.append((item_id, version))
-                if mergeable:
-                    key = next(
-                        r.key for r in store.replicas() if r.fragment is fragment
-                    )
-                    mergeable_keys.append(key)
         elif roll < 0.72:
             store.notify(
                 rng.choice(list(NoticeSource)),
@@ -424,21 +415,11 @@ def test_c10_store_accounting_over_random_op_soup():
                 f"i{rng.randrange(300)}",
                 rng.randint(1, 3),
             )
-        elif roll < 0.92:
+        else:
             try:
                 store.evict(rng.randrange(1, 8000), now=now)
             except EvictionShortfall:
                 pass
-        else:
-            still_held = [
-                key for key in mergeable_keys
-                if key in store and store.get(key).item.mergeable
-            ]
-            if len(still_held) >= 2:
-                chosen = rng.sample(still_held, 2)
-                merged = store.merge(chosen, now=now)
-                mergeable_keys = [k for k in mergeable_keys if k not in chosen]
-                mergeable_keys.append(merged)
         ops += 1
         assert store.used_bytes == store.recomputed_used_bytes()
         assert store.used_bytes <= store.quota_bytes

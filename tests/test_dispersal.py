@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -314,3 +315,17 @@ class TestWireFormat:
         assert unpack_fragment(self._wire()).key == ("a", 1)
         with pytest.raises(FragmentMismatch):
             unpack_fragment(self._wire(**fields))
+
+    @pytest.mark.parametrize("fields", [
+        pytest.param({"n": 300}, id="n-above-255"),
+        pytest.param({"original_size": -5}, id="negative-size"),
+        pytest.param({"version": -1}, id="negative-version"),
+        pytest.param({"version": 2**64}, id="version-above-64-bits"),
+        pytest.param({"payload": b"ab"}, id="payload-below-chunk-size"),
+        pytest.param({"payload": b"abcd"}, id="payload-above-chunk-size"),
+    ])
+    def test_fragment_the_header_cannot_carry_is_a_usage_error(self, fields):
+        fragment = split(b"abcdef", 3, 2, item_id="a").fragments[0]
+        pack_fragment(fragment)
+        with pytest.raises(UsageError):
+            pack_fragment(dataclasses.replace(fragment, **fields))

@@ -17,6 +17,7 @@ import functools
 import hashlib
 import json
 import re
+from collections import defaultdict
 from pathlib import Path
 from typing import Any
 
@@ -141,6 +142,22 @@ def test_trace_lines_follow_the_grammar(name):
     _, trace = traced_run(name)
     assert trace
     assert [line for line in trace if not TRACE_LINE.match(line)] == []
+
+
+# The report's run totals are sums over the trace: one line per save, upload,
+# production and conflict, its byte count the last field.
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_report_totals_are_the_trace_sums(name):
+    report, trace = traced_run(name)
+    totals = json.loads(report)
+    nbytes: defaultdict[str, list[int]] = defaultdict(list)  # kind -> each line's bytes
+    for line in trace:
+        nbytes[line.split(" ", 2)[1]].append(int(line.rsplit(" bytes=", 1)[1]))
+    assert totals["fragments_saved"] == len(nbytes["SAVE"])
+    assert totals["bytes_to_peers"] == sum(nbytes["SAVE"])
+    assert totals["bytes_to_server"] == sum(nbytes["UPLOAD_ITEM"]) + sum(nbytes["UPLOAD_FRAG"])
+    assert totals["items_produced"] == len(nbytes["PRODUCE"])
+    assert totals["conflict_count"] == len(nbytes["CONFLICT"])
 
 
 # Run sets over many seeds. Updates and chains make `propagate_priority`

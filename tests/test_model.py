@@ -10,11 +10,9 @@ from oppbak.model import (
     DataItem,
     IntegrityError,
     Location,
-    Production,
     UnknownItemError,
     UsageError,
     VersionIndex,
-    agglomerate,
     detect_conflict,
     propagate_priority,
 )
@@ -105,63 +103,6 @@ class TestCompactRecords:
         assert hash(raised) == hash(dataclasses.replace(item, priority=0.9))
         lowered = dataclasses.replace(raised, priority=0.5)
         assert lowered == item and hash(lowered) == hash(item) and lowered.key == item.key
-
-
-class TestAgglomerate:
-    def test_single_item_unchanged(self):
-        item = make_item()
-        assert agglomerate([item]) == item
-
-    def test_priority_and_size(self):
-        a = make_item("a", priority=0.3, size=100)
-        b = make_item("b", priority=0.8, size=50)
-        merged = agglomerate([a, b])
-        assert merged.priority == 0.8
-        assert merged.size_bytes == 150
-
-    def test_dep_union(self):
-        items = [
-            make_item("x", deps=(("a", 1),)),
-            make_item("y", deps=(("b", 1),)),
-            make_item("z", deps=(("a", 1),)),
-        ]
-        merged = agglomerate(items)
-        assert set(merged.temporal_deps) == {("a", 1), ("b", 1)}
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(UsageError):
-            agglomerate([])
-
-    def test_mixed_owners_rejected(self):
-        with pytest.raises(UsageError):
-            agglomerate([make_item("a", owner="t00"), make_item("b", owner="t01")])
-
-    def test_order_independent(self, rng: random.Random):
-        items = [
-            make_item(f"i{j}", priority=rng.random(), size=rng.randrange(1, 500),
-                      deps=((f"d{rng.randrange(3)}", 1),))
-            for j in range(5)
-        ]
-        base = agglomerate(list(items))
-        for _ in range(10):
-            rng.shuffle(items)
-            again = agglomerate(list(items))
-            assert again.priority == base.priority
-            assert again.temporal_deps == base.temporal_deps
-            assert again.size_bytes == base.size_bytes
-            assert again.id == base.id
-
-    def test_lifetime_is_maximum(self):
-        merged = agglomerate([make_item("a", lifetime=5.0), make_item("b", lifetime=9.0)])
-        assert merged.lifetime == 9.0
-        unbounded = agglomerate([make_item("a", lifetime=5.0), make_item("b")])
-        assert unbounded.lifetime is None
-
-    def test_internal_deps_dropped(self):
-        a = make_item("a")
-        b = make_item("b", deps=(("a", 1),))
-        merged = agglomerate([a, b])
-        assert merged.temporal_deps == ()
 
 
 class TestVersionIndex:
@@ -391,8 +332,3 @@ class TestDetectConflict:
             index.records_for("ghost", {})
         with pytest.raises(UnknownItemError):
             detect_conflict([], Location.SERVER, 1)
-
-
-def test_production_enum_is_carried():
-    item = make_item(production=Production.APPEND_ONLY)
-    assert item.production is Production.APPEND_ONLY

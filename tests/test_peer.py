@@ -355,124 +355,6 @@ class TestEvict:
         assert len(store) == 2
 
 
-class TestMerge:
-    def _log(self, item_id, entries, owner="t00", **kwargs):
-        payload = b"\n".join(entries)
-        fragment = make_fragment(item_id=item_id, original_size=len(payload), payload=payload)
-        return held(fragment, owner=owner, mergeable=True, stream="tracks", **kwargs)
-
-    def test_union_semantics(self):
-        store = ReplicaStore("p", 10**6)
-        store.accept(*self._log("log1", [b"a", b"b"]), now=0.0)
-        store.accept(*self._log("log2", [b"b", b"c"]), now=0.0)
-        merged_key = store.merge([("t00", "log1", 1, 0), ("t00", "log2", 1, 0)], now=1.0)
-        merged = store.get(merged_key)
-        assert merged.fragment.payload == b"a\nb\nc"
-        assert len(store) == 1
-
-    def test_single_replica_noop(self):
-        store = ReplicaStore("p", 10**6)
-        store.accept(*self._log("log1", [b"a"]), now=0.0)
-        key = ("t00", "log1", 1, 0)
-        assert store.merge([key], now=1.0) == key
-        assert store.get(key).fragment.payload == b"a"
-
-    def test_shared_entries_free_space(self):
-        # three logs totaling ~300 payload bytes of which ~120 are shared
-        entries = [b"entry-%02d-xxxxxxxxxx" % i for i in range(9)]  # 19 bytes each
-        logs = [entries[0:5], entries[2:7], entries[4:9]]
-        assert sum(len(b"\n".join(chunk)) for chunk in logs) == 297
-        store = ReplicaStore("p", 10**6)
-        keys = []
-        for i, chunk in enumerate(logs):
-            store.accept(*self._log(f"log{i}", chunk), now=0.0)
-            keys.append(("t00", f"log{i}", 1, 0))
-        before = store.used_bytes
-        merged_key = store.merge(keys, now=1.0)
-        merged = store.get(merged_key)
-        union = {e for chunk in logs for e in chunk}
-        assert set(merged.fragment.payload.split(b"\n")) == union  # nothing lost
-        assert len(merged.fragment.payload) <= 180
-        freed = before - store.used_bytes
-        assert freed >= 120
-
-    def test_priority_is_maximum(self):
-        store = ReplicaStore("p", 10**6)
-        store.accept(*self._log("log1", [b"a"], priority=0.3), now=0.0)
-        store.accept(*self._log("log2", [b"b"], priority=0.8), now=0.0)
-        merged = store.get(
-            store.merge([("t00", "log1", 1, 0), ("t00", "log2", 1, 0)], now=1.0)
-        )
-        assert merged.item.priority == 0.8
-
-    def test_merged_item_describes_the_union(self):
-        store = ReplicaStore("p", 10**6)
-        store.accept(*self._log("log1", [b"a"], owner="t01", declared=0.6, lifetime=50.0,
-                                temporal_deps=(("x", 1),)), now=0.0)
-        fragment = make_fragment("log2", version=3, original_size=3, payload=b"b\nc")
-        store.accept(*held(fragment, declared=0.9, mergeable=True, stream="tracks",
-                           lifetime=80.0, temporal_deps=(("x", 1), ("log2", 2))), now=0.0)
-        merged = store.get(store.merge([("t01", "log1", 1, 0), ("t00", "log2", 3, 0)], now=1.0))
-        item = merged.item
-        assert item.key == merged.fragment.key == ("merged-p-1", 3)
-        assert (item.owner, item.n, item.k, item.size_bytes) == ("t00", 1, 1, 5)
-        assert item.lifetime == 80.0 and item.temporal_deps == (("log2", 2), ("x", 1))
-        assert item.mergeable and item.stream == "tracks"
-        assert merged.declared_success == 0.9
-
-    def test_repeated_key_is_a_usage_error_and_deletes_nothing(self):
-        store = ReplicaStore("p", 10**6)
-        store.accept(*self._log("log1", [b"a"]), now=0.0)
-        key = ("t00", "log1", 1, 0)
-        used = store.used_bytes
-        with pytest.raises(UsageError):
-            store.merge([key, key], now=1.0)
-        assert len(store) == 1
-        assert store.used_bytes == store.recomputed_used_bytes() == used
-        assert store.get(key).fragment.payload == b"a"
-
-    def test_non_mergeable_rejected(self):
-        store = ReplicaStore("p", 10**6)
-        store.accept(*self._log("log1", [b"a"]), now=0.0)
-        store.accept(
-            *held(make_fragment(item_id="plain", original_size=10, payload=b"0123456789")),
-            now=0.0,
-        )
-        with pytest.raises(UsageError):
-            store.merge([("t00", "log1", 1, 0), ("t00", "plain", 1, 0)], now=1.0)
-
-    def test_fragmented_rejected(self):
-        store = ReplicaStore("p", 10**6)
-        store.accept(*self._log("log1", [b"a"]), now=0.0)
-        store.accept(
-            *held(make_fragment(item_id="split", n=3, k=2, original_size=10, payload=b"01234"),
-                  mergeable=True, stream="tracks"),
-            now=0.0,
-        )
-        with pytest.raises(UsageError):
-            store.merge([("t00", "log1", 1, 0), ("t00", "split", 1, 0)], now=1.0)
-
-    def test_merged_replica_is_held_under_the_lowest_owner(self):
-        store = ReplicaStore("p", 10**6)
-        store.accept(*self._log("log1", [b"a"]), now=0.0)
-        store.accept(*self._log("log2", [b"b"], owner="t01"), now=0.0)
-        merged = store.get(store.merge([("t00", "log1", 1, 0), ("t01", "log2", 1, 0)], now=1.0))
-        # held under the lowest owner, as one replica of its own item
-        assert store.replicas_of("t00") == [merged]
-        assert store.replicas_of("t01") == []
-
-
-    def test_merging_a_merged_replica_keeps_every_entry(self):
-        store = ReplicaStore("p", 10**6)
-        for item_id, entry in (("log1", b"a"), ("log2", b"b"), ("log3", b"c")):
-            store.accept(*self._log(item_id, [entry]), now=0.0)
-        first = store.merge([("t00", "log1", 1, 0), ("t00", "log2", 1, 0)], now=1.0)
-        merged = store.get(store.merge([first, ("t00", "log3", 1, 0)], now=2.0))
-        assert merged.fragment.payload == b"a\nb\nc"
-        assert len(store) == 1
-        assert store.replicas_of("t00") == [merged]
-
-
 class TestReplicasOf:
     def test_key_order(self):
         store = ReplicaStore("p", 10**6)
@@ -519,7 +401,6 @@ class TestAccountingProperty:
             pin_check=lambda item_id, version: item_id in pinned,
         )
         now = 0.0
-        mergeables: list = []
         for step in range(3000):
             now += rng.random()
             op = rng.random()
@@ -527,7 +408,6 @@ class TestAccountingProperty:
                 item_id = f"i{rng.randrange(200)}"
                 if rng.random() < 0.05:
                     pinned.add(item_id)
-                mergeable = rng.random() < 0.2
                 payload = b"\n".join(
                     b"e%03d" % rng.randrange(50) for _ in range(rng.randint(1, 5))
                 )
@@ -538,20 +418,14 @@ class TestAccountingProperty:
                     original_size=len(payload),
                     payload=payload,
                 )
-                accepted = store.accept(
+                store.accept(
                     *held(
                         fragment,
                         owner=f"t{rng.randrange(5)}",
                         lifetime=now + rng.uniform(1, 500) if rng.random() < 0.3 else None,
-                        mergeable=mergeable,
-                        stream="s" if mergeable else None,
                     ),
                     now=now,
                 )
-                if accepted and mergeable:
-                    mergeables.append(
-                        next(r.key for r in store.replicas() if r.fragment is fragment)
-                    )
             elif op < 0.75:
                 store.notify(
                     rng.choice(list(NoticeSource)),
@@ -559,22 +433,11 @@ class TestAccountingProperty:
                     f"i{rng.randrange(200)}",
                     rng.randint(1, 3),
                 )
-            elif op < 0.9:
+            else:
                 try:
                     store.evict(rng.randrange(1, 5000), now=now)
                 except EvictionShortfall:
                     pass
-            else:
-                still_held = [
-                    k for k in mergeables
-                    if k in store and store.get(k).item.mergeable
-                    and store.get(k).item.stream == "s"
-                ]
-                if len(still_held) >= 2:
-                    picked = rng.sample(still_held, 2)
-                    merged_key = store.merge(picked, now=now)
-                    mergeables = [k for k in mergeables if k not in picked]
-                    mergeables.append(merged_key)
             assert store.used_bytes == store.recomputed_used_bytes()
             assert store.used_bytes <= store.quota_bytes
             for owner in {r.item.owner for r in store.replicas()}:

@@ -11,7 +11,7 @@ import pytest
 from oppbak import dispersal
 from oppbak.dispersal import fragment_wire_size
 from oppbak import sim as sim_module
-from oppbak.model import DataItem, IntegrityError, Production, UsageError
+from oppbak.model import DataItem, IntegrityError, UsageError
 from oppbak.peer import NoticeSource, ReplicaStore
 from oppbak.reliability import ReliabilityTable, composite_success
 from oppbak.scenario import ConfigError, config_from_dict
@@ -449,6 +449,45 @@ class TestScriptedRuns:
         with pytest.raises(ConfigError):
             meet(sim, 5.0, "t00", "t01", 1000)
 
+    @pytest.mark.parametrize("event", [
+        pytest.param(EncounterEvent(10.0, "t00", "t99", 1.0, 1000.0), id="encounter"),
+        pytest.param(InternetWindowEvent(10.0, "t99", 1.0, 1000.0), id="window"),
+        pytest.param(TerminalFailureEvent(10.0, "t99"), id="failure"),
+        pytest.param(RestoreAttemptEvent(10.0, "t99"), id="restore"),
+        pytest.param(DataProducedEvent(10.0, "t99", item_spec("t99/d0000", owner="t99")),
+                     id="produced-by-unknown"),
+        pytest.param(DataProducedEvent(10.0, "t02", item_spec("t02/d0000", owner="t02")),
+                     id="produced-by-non-producer"),
+        pytest.param(DataProducedEvent(10.0, "t00", item_spec("t01/d0000", owner="t01")),
+                     id="produced-for-another-owner"),
+    ])
+    def test_bad_scripted_event_is_refused_before_any_change(self, event):
+        trace: list[str] = []
+        sim = Simulation(quiet_config(terminals={"producers": 2}), trace=trace.append)
+        with pytest.raises(ConfigError):
+            sim.process(event)
+        assert sim.now == 0.0 and len(sim.index) == 0 and trace == []
+        assert [len(s.queue) for s in sim.schedulers.values()] == [0, 0]
+        assert sim.owned_ids == {"t00": [], "t01": []} and sim.tables == {}
+
+    @pytest.mark.parametrize("item, error", [
+        pytest.param(item_spec(), UsageError, id="repeated-version"),
+        pytest.param(item_spec(version=2), UsageError, id="non-increasing-version"),
+        pytest.param(item_spec("t00/d0001", deps=(("t00/d0000", 9),)), IntegrityError,
+                     id="unregistered-dependency"),
+    ])
+    def test_version_the_index_refuses_leaves_the_run_unchanged(self, item, error):
+        trace: list[str] = []
+        sim = Simulation(quiet_config(), trace=trace.append)
+        produce(sim, 1.0, item_spec())
+        produce(sim, 2.0, item_spec(version=3))
+        before = (len(trace), len(sim.index), sorted(sim.tables), len(sim.schedulers["t00"].queue))
+        with pytest.raises(error):
+            produce(sim, 5.0, item)
+        assert sim.now == 2.0
+        assert (len(trace), len(sim.index), sorted(sim.tables),
+                len(sim.schedulers["t00"].queue)) == before
+
 
 class TestPinningTrace:
     def test_old_version_held_until_dependent_is_served(self):
@@ -860,19 +899,17 @@ def reference_events(config):
                 version = prev_version + 1
                 deps = ((item_id, prev_version),)
                 history[slot] = (item_id, version)
-                production = Production.READ_WRITE
             else:
                 item_id = f"{owner}/d{counter:04d}"
                 counter += 1
                 version = 1
-                production = Production.CREATE_ONLY
                 deps = ()
                 if chain:
                     deps = (history[rng.randrange(len(history))],)
                 history.append((item_id, version))
             events.append(DataProducedEvent(time=t, owner=owner, item=DataItem(
                 id=item_id, owner=owner, size_bytes=size, priority=priority, n=w.n, k=w.k,
-                version=version, production=production,
+                version=version,
                 lifetime=(t + w.lifetime_s) if w.lifetime_s else None, temporal_deps=deps,
             )))
     m = config.mobility

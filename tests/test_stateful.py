@@ -30,7 +30,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from oppbak.model import DataItem, Production
+from oppbak.model import DataItem
 from oppbak.peer import ReplicaState
 from oppbak.scenario import config_from_dict
 from oppbak.sim import (
@@ -114,17 +114,17 @@ class SimulationMachine(RuleBasedStateMachine):
         if kind == "update" and own_ids:
             item_id = own_ids[pick % len(own_ids)]
             prev = index.latest_version(item_id)
-            version, deps, production = prev + 1, ((item_id, prev),), Production.READ_WRITE
+            version, deps = prev + 1, ((item_id, prev),)
         else:
             item_id = f"{owner}/d{self.counter:03d}"
             self.counter += 1
-            version, production = 1, Production.CREATE_ONLY
+            version = 1
             if kind == "chain" and own_ids:
                 dep_id = own_ids[pick % len(own_ids)]
                 deps = ((dep_id, index.latest_version(dep_id)),)
         item = DataItem(
             id=item_id, owner=owner, size_bytes=size, priority=priority, n=4, k=2,
-            version=version, production=production,
+            version=version,
             lifetime=None if lifetime is None else now + lifetime, temporal_deps=deps,
         )
         self._process(DataProducedEvent(time=now, owner=owner, item=item))
