@@ -4,8 +4,8 @@ or the run of one owner's item that a notice names.
 
 A peer grants the backup service a fixed byte quota. Incoming fragments
 are admitted only into space left free by the last purge of replicas
-that expired or were flagged useless. Under pressure, live
-replicas are scored and deleted oldest/over-provisioned/bulkiest first,
+that expired or were flagged useless. Under pressure, live replicas
+go in order of one unweighted score: oldest/over-provisioned/bulkiest first,
 but never while a replica is pinned (an old version still protecting a
 newer one that has not reached the server). A replica is held under its
 owner, item id, version and fragment index as sent, and keeps its owner's
@@ -15,7 +15,6 @@ owner, item id, version and fragment index as sent, and keeps its owner's
 from __future__ import annotations
 
 import heapq
-import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
@@ -87,7 +86,7 @@ DeleteHook = Callable[[Replica, str], None]
 
 
 class ReplicaStore:
-    """Replica set of one backup terminal, with exact byte accounting.
+    """Replica set of one terminal: exact byte accounting, unweighted eviction.
 
     `pin_check(item_id, version)` answers whether an old version must be
     retained; by default nothing is pinned. `on_delete(replica, reason)`
@@ -110,9 +109,6 @@ class ReplicaStore:
         terminal_id: str,
         quota_bytes: int,
         *,
-        w_age: float = 1.0,
-        w_res: float = 1.0,
-        w_size: float = 1.0,
         per_owner_cap: float = 1.0,
         pin_check: Optional[PinCheck] = None,
         on_delete: Optional[DeleteHook] = None,
@@ -121,14 +117,8 @@ class ReplicaStore:
             raise UsageError(f"quota must be >= 0, got {quota_bytes}")
         if not 0.0 < per_owner_cap <= 1.0:
             raise UsageError(f"per-owner cap must be in (0, 1], got {per_owner_cap}")
-        for name, weight in (("w_age", w_age), ("w_res", w_res), ("w_size", w_size)):
-            if not (math.isfinite(weight) and weight >= 0.0):
-                raise UsageError(f"{name} must be finite and >= 0, got {weight}")
         self.terminal_id = terminal_id
         self.quota_bytes = quota_bytes
-        self.w_age = w_age
-        self.w_res = w_res
-        self.w_size = w_size
         self.per_owner_cap = per_owner_cap
         self._pin_check = pin_check or (lambda item_id, version: False)
         self._on_delete = on_delete
@@ -318,8 +308,8 @@ class ReplicaStore:
     def evict(self, needed_bytes: int, now: float) -> list[ReplicaKey]:
         """Free at least `needed_bytes`, cheapest casualties first.
 
-        Purges first; live replicas then go in order of a weighted score
-        of normalized age, resilience overshoot above declared priority,
+        Purges first; live replicas then go in order of the plain sum of
+        normalized age, resilience overshoot above declared priority,
         and normalized size including dependent bulk, grouping equal
         scores by owner. Pinned replicas are untouchable; if the sweep
         still falls short, the partial deletions stand and
@@ -340,11 +330,7 @@ class ReplicaStore:
         bulks = _minmax([r.size_bytes + b for r, b in zip(candidates, dependent_bytes)])
         scored = []
         for replica, age, bulk in zip(candidates, ages, bulks):
-            score = (
-                self.w_age * age
-                + self.w_res * max(0.0, replica.declared_success - replica.item.priority)
-                + self.w_size * bulk
-            )
+            score = age + max(0.0, replica.declared_success - replica.item.priority) + bulk
             scored.append((-score, replica.item.owner, replica.key))
         for _, _, key in sorted(scored):
             if key not in self._replicas:

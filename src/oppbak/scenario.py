@@ -66,9 +66,6 @@ class FailureSpec:
 
 @dataclass(frozen=True)
 class EvictionSpec:
-    w_age: float = 1.0
-    w_res: float = 1.0
-    w_size: float = 1.0
     per_owner_cap: float = 1.0
 
 
@@ -116,8 +113,6 @@ class ScenarioConfig:
             (i.bandwidth_bytes_per_s > 0, "infrastructure.bandwidth_bytes_per_s must be > 0"),
             (f.rate_per_hour >= 0, "failures.rate_per_hour must be >= 0"),
             (f.targets in ("producers", "all"), "failures.targets must be producers|all"),
-            (self.eviction.w_age >= 0 and self.eviction.w_res >= 0 and self.eviction.w_size >= 0,
-             "eviction weights must be >= 0"),
             (0.0 < self.eviction.per_owner_cap <= 1.0, "eviction.per_owner_cap must be in (0, 1]"),
         ]
         for ok, message in checks:

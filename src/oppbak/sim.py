@@ -455,9 +455,6 @@ class Simulation:
             self.stores[terminal] = ReplicaStore(
                 terminal,
                 config.terminals.quota_bytes,
-                w_age=config.eviction.w_age,
-                w_res=config.eviction.w_res,
-                w_size=config.eviction.w_size,
                 per_owner_cap=config.eviction.per_owner_cap,
                 pin_check=self._pin_check,
                 on_delete=self._deletion_hook(terminal),

@@ -13,8 +13,10 @@ DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
     "script", sorted(DEMO_DIR.glob("*.py")), ids=lambda p: p.name
 )
 def test_demo_runs_clean(script):
+    # the run's own -W options and -X dev: a warnings-as-errors run covers the demos too
+    flags = [f"-W{option}" for option in sys.warnoptions] + ["-X", "dev"] * sys.flags.dev_mode
     result = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, *flags, str(script)],
         capture_output=True,
         text=True,
         timeout=120,

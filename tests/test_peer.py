@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -91,13 +92,6 @@ class TestAccept:
         assert store.accept(*held(frag("a", wire_size=400), "hog"), now=0.0)
         assert not store.accept(*held(frag("b", wire_size=200), "hog"), now=0.0)
         assert store.accept(*held(frag("c", wire_size=400), "other"), now=0.0)
-
-    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
-    @pytest.mark.parametrize("name", ["w_age", "w_res", "w_size"])
-    def test_eviction_weight_must_be_finite_and_non_negative(self, name, value):
-        with pytest.raises(UsageError, match=name):
-            ReplicaStore("p", 1000, **{name: value})
-        assert getattr(ReplicaStore("p", 1000, **{name: 0.0}), name) == 0.0
 
 
 class TestNotify:
@@ -228,38 +222,41 @@ class TestPurge:
 
 
 class TestEvict:
+    """Each single-criterion case keys its victim after the survivors: a tie
+    in score, broken by owner and key, would spare it."""
+
     def test_age_criterion(self):
-        store = ReplicaStore("p", 600, w_res=0.0, w_size=0.0)
-        store.accept(*held(frag("young")), now=990.0)
+        store = ReplicaStore("p", 600)  # equal sizes, declared == priority
+        store.accept(*held(frag("new")), now=990.0)
         store.accept(*held(frag("old", wire_size=300)), now=0.0)
         deleted = store.evict(200, now=1000.0)
         assert deleted == [("t00", "old", 1, 0)]
 
     def test_overprovisioned_goes_first(self):
-        store = ReplicaStore("p", 600, w_age=0.0, w_size=0.0)
+        store = ReplicaStore("p", 600)  # equal ages and sizes
         store.accept(*held(frag("cosy"), priority=0.5, declared=0.99), now=0.0)
-        store.accept(*held(frag("needy", wire_size=300), priority=0.9, declared=0.4), now=0.0)
+        store.accept(*held(frag("bare", wire_size=300), priority=0.9, declared=0.4), now=0.0)
         deleted = store.evict(200, now=10.0)
         assert deleted == [("t00", "cosy", 1, 0)]
 
     def test_bulky_goes_first(self):
-        store = ReplicaStore("p", 900, w_age=0.0, w_res=0.0)
-        store.accept(*held(frag("small", wire_size=200)), now=0.0)
+        store = ReplicaStore("p", 900)  # equal ages, declared == priority
+        store.accept(*held(frag("bit", wire_size=200)), now=0.0)
         store.accept(*held(frag("huge", wire_size=700)), now=0.0)
         deleted = store.evict(300, now=10.0)
         assert deleted == [("t00", "huge", 1, 0)]
 
     def test_dependency_bulk_counts(self):
-        store = ReplicaStore("p", 900, w_age=0.0, w_res=0.0)
-        store.accept(*held(frag("base", wire_size=300)), now=0.0)
+        store = ReplicaStore("p", 900)  # equal ages, declared == priority
+        store.accept(*held(frag("root", wire_size=300)), now=0.0)
         store.accept(
-            *held(frag("leaf", wire_size=300), temporal_deps=(("base", 1),)),
+            *held(frag("leaf", wire_size=300), temporal_deps=(("root", 1),)),
             now=0.0,
         )
         store.accept(*held(frag("solo", wire_size=300)), now=0.0)
-        # base alone is 300 bytes but drags 300 more of dependent bulk
+        # root alone is 300 bytes but drags 300 more of dependent bulk
         deleted = store.evict(100, now=10.0)
-        assert deleted == [("t00", "base", 1, 0)]
+        assert deleted == [("t00", "root", 1, 0)]
         # diamond: top reaches base over two paths and still counts once
         diamond = ReplicaStore("q", 1200)
         diamond.accept(*held(frag("base", wire_size=300)), now=0.0)
@@ -286,7 +283,6 @@ class TestEvict:
 
     def test_rank_matches_formula_oracle(self, rng: random.Random):
         now = 1000.0
-        weights = dict(w_age=0.7, w_res=1.3, w_size=0.4)
         rows = []
         for i in range(20):
             received = rng.uniform(0.0, now)
@@ -295,7 +291,7 @@ class TestEvict:
             size = rng.randrange(100, 1000) + HEADER_SIZE
             rows.append((f"i{i}", received, priority, declared, size))
         total = sum(r[4] for r in rows)
-        store = ReplicaStore("p", total, **weights)
+        store = ReplicaStore("p", total)
         for item_id, received, priority, declared, size in rows:
             assert store.accept(
                 *held(frag(item_id, wire_size=size), priority=priority, declared=declared),
@@ -311,17 +307,40 @@ class TestEvict:
         oracle = sorted(
             rows,
             key=lambda r: (
-                -(
-                    weights["w_age"] * norm(now - r[1], ages)
-                    + weights["w_res"] * max(0.0, r[3] - r[2])
-                    + weights["w_size"] * norm(r[4], sizes)
-                ),
+                -(norm(now - r[1], ages) + max(0.0, r[3] - r[2]) + norm(r[4], sizes)),
                 "t00",
                 ("t00", r[0], 1, 0),
             ),
         )
         deleted = store.evict(total, now=now)  # must clear the whole store
         assert deleted == [("t00", r[0], 1, 0) for r in oracle]
+
+    @pytest.mark.parametrize(
+        "leader, rival", list(itertools.permutations(("age", "overshoot", "bulk"), 2))
+    )
+    def test_larger_lead_wins_across_criteria(self, leader, rival):
+        # x leads y by 0.6 on `leader`, y leads x by 0.5 on `rival`, the third
+        # criterion ties, and z scores 0 on all three. z sets the minimum of
+        # normalized age and bulk, so leads on them are fractions of the range.
+        # At equal weights x goes first; once the leader's weight falls below
+        # five sixths of the rival's, y does.
+        terms = {name: dict.fromkeys(("age", "overshoot", "bulk"), 0.0) for name in "xyz"}
+        normalized = {"age", "bulk"}
+        terms["y"][leader] = 0.4 if leader in normalized else 0.0
+        terms["x"][leader] = terms["y"][leader] + 0.6
+        terms["x"][rival] = 0.5 if rival in normalized else 0.0
+        terms["y"][rival] = terms["x"][rival] + 0.5
+        now = 1000.0
+        sizes = {name: 200 + round(100 * t["bulk"]) for name, t in terms.items()}
+        store = ReplicaStore("p", sum(sizes.values()))
+        for name, t in terms.items():
+            assert store.accept(
+                *held(frag(name, wire_size=sizes[name]), priority=0.3,
+                      declared=0.3 + t["overshoot"]),
+                now=now - 100.0 - 100.0 * t["age"],
+            )
+        deleted = store.evict(sum(sizes.values()), now=now)
+        assert deleted == [("t00", name, 1, 0) for name in "xyz"]
 
     def test_pinned_survive_everything(self):
         pinned_items = {"keep"}
@@ -385,7 +404,7 @@ class TestReplicasOf:
             ("t01", "a", 1, 0), ("t01", "b", 1, 0)]
 
     def test_consistent_after_eviction(self):
-        store = ReplicaStore("p", 10**6, w_size=0.0, w_res=0.0)
+        store = ReplicaStore("p", 10**6)  # equal sizes, declared == priority
         store.accept(*held(frag("a", version=1, index=0, wire_size=100)), now=100.0)
         store.accept(*held(frag("a", version=1, index=2, wire_size=100)), now=0.0)
         store.evict(10**6 - 150, now=200.0)

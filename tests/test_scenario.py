@@ -45,6 +45,9 @@ class TestStrictParsing:
             ({"server_reach_factor": 1.0}, "unknown key.*server_reach_factor"),
             ({"workload": {"mergeable": False}}, "workload.*unknown key.*mergeable"),
             ({"failures": {"targets": "none"}}, "failures.targets must be producers|all"),
+            ({"eviction": {"w_age": 1.0}}, "eviction.*unknown key.*w_age"),
+            ({"eviction": {"w_res": 1.0}}, "eviction.*unknown key.*w_res"),
+            ({"eviction": {"w_size": 1.0}}, "eviction.*unknown key.*w_size"),
         ],
     )
     def test_removed_settings_are_rejected(self, document, message):
@@ -86,7 +89,7 @@ class TestStrictParsing:
             ("workload", "lifetime_s"),
             ("terminals", "true_retrieval"),
             ("mobility", "bandwidth_bytes_per_s"),
-            ("eviction", "w_age"),
+            ("eviction", "per_owner_cap"),
         ],
     )
     def test_non_finite_numbers_are_rejected(self, tmp_path, section, field, value):
