@@ -5,7 +5,7 @@
 
 import itertools
 
-from oppbak import HEADER_SIZE, pack_fragment, reconstruct, split, unpack_fragment
+from oppbak import reconstruct, split
 
 payload = b"meeting notes: demo the backup service at 14:00, room B" * 20
 print(f"payload: {len(payload)} bytes")
@@ -32,9 +32,3 @@ except Exception as exc:
 copies = split(b"tiny but precious", n=3, k=1)
 assert all(f.payload == b"tiny but precious" for f in copies.fragments)
 print("k=1 fragments are whole copies")
-
-# -- wire format ---------------------------------------------------------------
-wire = pack_fragment(fs.fragments[4])
-print(f"wire record: {len(wire)} bytes ({HEADER_SIZE} header + {fs.chunk} chunk)")
-assert unpack_fragment(wire) == fs.fragments[4]
-print("header round-trips bit-exactly")

@@ -12,10 +12,8 @@ from .dispersal import (
     FragmentSet,
     InsufficientFragments,
     fragment_wire_size,
-    pack_fragment,
     reconstruct,
     split,
-    unpack_fragment,
 )
 from .model import (
     ConflictReport,
@@ -113,11 +111,9 @@ __all__ = [
     "generate_events",
     "load_scenario",
     "new_table",
-    "pack_fragment",
     "propagate_priority",
     "reconstruct",
     "run",
     "run_batch",
     "split",
-    "unpack_fragment",
 ]

@@ -17,23 +17,23 @@ are computed together at the first request for any of them, since a
 sender that stops before index k never needs them. `reconstruct` copies
 the data chunks it was given and decodes only the missing ones.
 
-Wire format (big-endian, fixed 51-byte header, then the chunk bytes):
+Charged size (a fixed 51-byte header, then the chunk): no header bytes are
+written, but every stored or sent fragment is charged for these slots:
 
-    offset  size  field
-    0       32    item id, UTF-8, NUL padded
-    32      1     fragment index
-    33      1     n
-    34      1     k
-    35      8     original payload size (u64)
-    43      8     item version (u64)
+    size  field
+    32    item id, UTF-8 (`split` refuses a longer id)
+    1     fragment index
+    1     n
+    1     k
+    8     original payload size
+    8     item version
 
 Chunk size is ceil(original_size / k); the payload is zero-padded to
-k * chunk and the true length travels in the header.
+k * chunk, and the fragment records the true length.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -43,8 +43,7 @@ from .model import Fragment, IntegrityError, UsageError
 if TYPE_CHECKING:
     import numpy as np
 
-_HEADER = struct.Struct(">32sBBBQQ")
-HEADER_SIZE = _HEADER.size  # 51
+HEADER_SIZE = 51  # charged per fragment: id 32, index 1, n 1, k 1, size 8, version 8
 MAX_FRAGMENTS = 255  # distinct nonzero-safe evaluation points in GF(256)
 
 _PRIMITIVE_POLY = 0x11D
@@ -310,51 +309,3 @@ def reconstruct(fragments: Iterable[Fragment]) -> bytes:
         memoryview(chunks[i])[: size - i * chunk] for i in range(k) if i * chunk < size
     )
 
-
-def pack_fragment(fragment: Fragment) -> bytes:
-    """Serialize a fragment to its wire bytes (header then chunk).
-
-    A fragment the header cannot carry raises `UsageError`: no payload, a
-    payload other than the chunk size the header implies, an id over 32
-    bytes, an index or (n, k) over 255, or a size or version outside
-    0..2**64 - 1.
-    """
-    if fragment.payload is None:
-        raise UsageError("cannot pack a metadata-only fragment")
-    if len(fragment.payload) != chunk_size(fragment.original_size, fragment.k):
-        raise UsageError(
-            f"payload of {len(fragment.payload)} bytes does not match chunk size "
-            f"{chunk_size(fragment.original_size, fragment.k)}"
-        )
-    slot = fragment.item_id.encode("utf-8")
-    if len(slot) > 32:
-        raise UsageError(f"item id {fragment.item_id!r} exceeds the 32-byte header slot")
-    try:
-        header = _HEADER.pack(slot, fragment.index, fragment.n, fragment.k,
-                              fragment.original_size, fragment.version)
-    except struct.error as exc:
-        raise UsageError(f"fragment {fragment.key} does not fit the wire header: {exc}") from exc
-    return header + fragment.payload
-
-
-def unpack_fragment(wire: bytes) -> Fragment:
-    """Parse wire bytes back into a fragment; exact inverse of `pack_fragment`.
-
-    Wire bytes come from outside, so every malformed record raises
-    `FragmentMismatch`: a short record, a payload of the wrong size, an id
-    slot that is not UTF-8, or an index or (n, k) no fragment can have.
-    """
-    if len(wire) < HEADER_SIZE:
-        raise FragmentMismatch(f"wire record of {len(wire)} bytes is shorter than a header")
-    slot, index, n, k, original_size, version = _HEADER.unpack_from(wire)
-    payload = wire[HEADER_SIZE:]
-    expected = chunk_size(original_size, k) if k else 0
-    if len(payload) != expected:
-        raise FragmentMismatch(
-            f"payload of {len(payload)} bytes does not match chunk size {expected}"
-        )
-    try:
-        item_id = slot.rstrip(b"\x00").decode("utf-8")
-        return Fragment(item_id, version, index, n, k, original_size, payload)
-    except (UnicodeDecodeError, UsageError) as exc:
-        raise FragmentMismatch(f"malformed fragment header: {exc}") from exc

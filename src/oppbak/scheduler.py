@@ -239,12 +239,12 @@ class Scheduler:
                 continue  # no longer worth sending; silently retired
             old_table = self.tables[key]
             next_index = old_table.fragments_saved
-            fragment = self._fragment(key, next_index)
             size = fragment_wire_size(item.size_bytes, item.k)
             if not link.try_transfer(size):
-                # dropped mid-transfer: the fragment does not count
+                # dropped mid-transfer: the fragment does not count, nor is it built
                 self.enqueue(item, self.success_of(key))
                 break
+            fragment = self._fragment(key, next_index)
             base = session_base.setdefault(key, old_table)
             m = next_index - base.fragments_saved + 1
             self.tables[key] = base.add_batch_same_terminal(channel, m)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import oppbak
-from oppbak.dispersal import gf_inv, gf_pow, pack_fragment, reconstruct, split, unpack_fragment
+from oppbak.dispersal import gf_inv, gf_pow, reconstruct, split
 
 SRC = str(Path(oppbak.__file__).resolve().parent.parent)
 
@@ -103,14 +103,13 @@ def test_size_only_runs_never_import_numpy(tmp_path):
 
 
 BYTES = bytes(range(256)) * 3 + b"cold start"
-PARITY_WIRES = [  # parity only: every data chunk must be decoded
-    pack_fragment(f) for f in split(BYTES, 8, 3, item_id="cold", version=2).fragments[3:6]
-]
+# parity only, so every data chunk is decoded; the script below gets their repr
+PARITY = split(BYTES, 8, 3, item_id="cold", version=2).fragments[3:6]
 
 FIRST_CALLS = {
     "gf_inv": "[gf_inv(a) for a in range(1, 256)]",
     "gf_pow": "[gf_pow(a, e) for a in range(256) for e in (0, 1, 2, 7, 254, 300)]",
-    "reconstruct": "reconstruct([unpack_fragment(w) for w in PARITY_WIRES])",
+    "reconstruct": "reconstruct(PARITY)",
     "split_fragment": "split(BYTES, 8, 3, item_id='cold', version=2).fragment(3).payload",
 }
 
@@ -119,8 +118,9 @@ FIRST_CALLS = {
 def test_each_codec_entry_can_be_the_first_call(expression):
     script = f"""
 from oppbak import dispersal
-from oppbak.dispersal import gf_inv, gf_pow, reconstruct, split, unpack_fragment
-BYTES, PARITY_WIRES = {BYTES!r}, {PARITY_WIRES!r}
+from oppbak.dispersal import gf_inv, gf_pow, reconstruct, split
+from oppbak.model import Fragment
+BYTES, PARITY = {BYTES!r}, {PARITY!r}
 assert dispersal._tables.cache_info().currsize == 0, "tables built before the first call"
 print(repr({expression}))
 """

@@ -17,12 +17,13 @@ from oppbak.dispersal import (
     fragment_wire_size,
     gf_inv,
     gf_mul,
-    pack_fragment,
     reconstruct,
     split,
-    unpack_fragment,
 )
 from oppbak.model import UsageError
+from oppbak.peer import ReplicaStore
+
+from conftest import make_item
 
 
 class TestFieldArithmetic:
@@ -262,70 +263,20 @@ class TestCodecBytes:
             assert got.tolist() == _combine_reference(rows, shards)
 
 
-class TestWireFormat:
-    def test_header_layout_is_bit_exact(self):
-        fragment = split(b"abcdef", 3, 2, item_id="it-9", version=7).fragments[1]
-        wire = pack_fragment(fragment)
-        assert len(wire) == HEADER_SIZE + 3
-        assert wire[:32] == b"it-9" + b"\x00" * 28
-        assert wire[32] == 1                      # index
-        assert wire[33] == 3                      # n
-        assert wire[34] == 2                      # k
-        assert wire[35:43] == (6).to_bytes(8, "big")   # original size
-        assert wire[43:51] == (7).to_bytes(8, "big")   # version
-        assert wire[51:] == fragment.payload
-
-    def test_roundtrip(self, rng: random.Random):
-        for _ in range(50):
-            size = rng.randint(1, 999)
-            n = rng.randint(1, 9)
-            k = rng.randint(1, n)
-            fs = split(rng.randbytes(size), n, k, item_id="owner/d01", version=3)
-            for fragment in fs.fragments:
-                assert unpack_fragment(pack_fragment(fragment)) == fragment
-
+class TestChargedSize:
     def test_wire_size_helper(self):
         assert fragment_wire_size(100, 3) == HEADER_SIZE + 34
         assert fragment_wire_size(1, 1) == HEADER_SIZE + 1
 
-    def test_truncated_wire_rejected(self):
-        fragment = split(b"abcdef", 3, 2).fragments[0]
-        wire = pack_fragment(fragment)
-        with pytest.raises(FragmentMismatch):
-            unpack_fragment(wire[: HEADER_SIZE - 1])
-        with pytest.raises(FragmentMismatch):
-            unpack_fragment(wire[:-1])
-
-    @staticmethod
-    def _wire(slot=b"a", index=1, n=3, k=2, size=6):
-        """A wire record with the given header fields and a payload of the size k implies."""
-        payload = bytes(chunk_size(size, k) if k else 0)
-        return (slot.ljust(32, b"\x00") + bytes([index, n, k])
-                + size.to_bytes(8, "big") + (1).to_bytes(8, "big") + payload)
-
-    @pytest.mark.parametrize("fields", [
-        pytest.param({"slot": b"\xff\xfe"}, id="id-not-utf8"),
-        pytest.param({"index": 3}, id="index-equals-n"),
-        pytest.param({"index": 255}, id="index-above-n"),
-        pytest.param({"k": 0}, id="k-zero"),
-        pytest.param({"k": 4}, id="k-above-n"),
-        pytest.param({"n": 0, "index": 0}, id="n-zero"),
-    ])
-    def test_malformed_header_is_a_fragment_mismatch(self, fields):
-        assert unpack_fragment(self._wire()).key == ("a", 1)
-        with pytest.raises(FragmentMismatch):
-            unpack_fragment(self._wire(**fields))
-
-    @pytest.mark.parametrize("fields", [
-        pytest.param({"n": 300}, id="n-above-255"),
-        pytest.param({"original_size": -5}, id="negative-size"),
-        pytest.param({"version": -1}, id="negative-version"),
-        pytest.param({"version": 2**64}, id="version-above-64-bits"),
-        pytest.param({"payload": b"ab"}, id="payload-below-chunk-size"),
-        pytest.param({"payload": b"abcd"}, id="payload-above-chunk-size"),
-    ])
-    def test_fragment_the_header_cannot_carry_is_a_usage_error(self, fields):
-        fragment = split(b"abcdef", 3, 2, item_id="a").fragments[0]
-        pack_fragment(fragment)
-        with pytest.raises(UsageError):
-            pack_fragment(dataclasses.replace(fragment, **fields))
+    @pytest.mark.parametrize("n, k, size", [(1, 1, 1), (4, 2, 1000), (5, 3, 1001), (16, 10, 4000)])
+    def test_store_charges_header_plus_chunk(self, n, k, size):
+        # 32-byte id slot, one byte each for index, n and k, eight for size and version
+        assert HEADER_SIZE == 51
+        item = make_item("it", n=n, k=k, size=size)
+        fs = split(bytes(i % 256 for i in range(size)), n, k, item_id="it")
+        for i in range(n):
+            size_only = dataclasses.replace(fs.fragment(i), payload=None)
+            for fragment in (fs.fragment(i), size_only):
+                store = ReplicaStore("p", 10**6)
+                assert store.accept(fragment, item, 0.5, now=0.0) is not None
+                assert store.used_bytes == fragment_wire_size(size, k), fragment

@@ -184,6 +184,21 @@ class TestOnMeeting:
         assert item.key in scheduler.queue
         assert scheduler.tables[item.key].fragments_saved == 1
 
+    @pytest.mark.parametrize("sent", [0, 2], ids=["data-index", "parity-index"])
+    def test_dropped_transfer_builds_no_fragment(self, sent):
+        item = make_item("a", priority=0.99, n=4, k=2, size=1000)
+        scheduler = build_scheduler([item])
+        for _ in range(sent):
+            scheduler.tables[item.key] = scheduler.tables[item.key].add_fragment(0.5)
+        scheduler.enqueue(item, scheduler.success_of(item.key))
+        built = []
+        scheduler.fragment_for = lambda key, i: built.append((key, i))
+        link = LinkSession(fragment_wire_size(1000, 2) - 1)
+        assert scheduler.on_meeting(FakeTerminal(p=0.5), link) == []
+        assert link.dropped and built == []
+        assert item.key in scheduler.queue
+        assert scheduler.tables[item.key].fragments_saved == sent
+
     def test_pull_order_and_fifo_ties(self):
         a = make_item("a", priority=0.9, size=100)
         b = make_item("b", priority=0.5, size=100)
