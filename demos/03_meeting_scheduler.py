@@ -29,7 +29,6 @@ class Peer:
         self.quota -= fragment_wire_size(item.size_bytes, item.k)
         print(f"    {self.terminal_id} stored {fragment.item_id}@{fragment.version}"
               f" frag {fragment.index} (owner now estimates {declared_success:.3f})")
-        return True
 
 
 index = VersionIndex()

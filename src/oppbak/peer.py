@@ -2,9 +2,10 @@
 reads of one ascending key list: the whole store, one owner's run of it,
 or the run of one owner's item that a notice names.
 
-A peer grants the backup service a fixed byte quota. Incoming fragments
-are admitted only into space left free by the last purge of replicas
-that expired or were flagged useless. Under pressure, live replicas
+A peer grants the backup service a fixed byte quota, shared among owners:
+a fragment is admitted only into its owner's room, the space left free by
+the last purge of replicas that expired or were flagged useless, capped
+by the owner's share under `per_owner_cap`. Under pressure, live replicas
 go in order of one unweighted score: oldest/over-provisioned/bulkiest first,
 but never while a replica is pinned (an old version still protecting a
 newer one that has not reached the server). A replica is held under its
@@ -21,7 +22,7 @@ from enum import Enum
 from itertools import islice
 from typing import Callable, Optional
 
-from .dispersal import HEADER_SIZE, chunk_size
+from .dispersal import chunk_size, fragment_wire_size
 from .model import DataItem, Fragment, UsageError, VersionKey, reachable
 
 ReplicaKey = tuple[str, str, int, int]  # (owner, item id, version, fragment index)
@@ -62,7 +63,7 @@ class Replica:
     item: DataItem
     declared_success: float
     received_at: float
-    size_bytes: int  # the fragment's stored size, computed once at admission
+    size_bytes: int  # the fragment's `fragment_wire_size`, computed once at admission
     state: ReplicaState = ReplicaState.LIVE
     fate: Optional[bool] = None
 
@@ -73,12 +74,6 @@ class Replica:
 
     def expired(self, now: float) -> bool:
         return self.item.expired(now)
-
-
-def _stored_size(f: Fragment) -> int:
-    if f.payload is not None:
-        return HEADER_SIZE + len(f.payload)
-    return HEADER_SIZE + chunk_size(f.original_size, f.k)
 
 
 PinCheck = Callable[[str, int], bool]
@@ -146,6 +141,15 @@ class ReplicaStore:
         """
         self.purge(now)
         return self.quota_bytes - self._used
+
+    def room_for(self, owner: str, now: float) -> int:
+        """Bytes this store still admits from `owner`: the free space after a
+        purge, capped by the owner's room under `per_owner_cap`."""
+        return self._room(owner, self.free_bytes(now))
+
+    def _room(self, owner: str, free: int) -> int:
+        owner_room = int(self.per_owner_cap * self.quota_bytes) - self._used_by_owner.get(owner, 0)
+        return min(free, owner_room)
 
     def __len__(self) -> int:
         return len(self._replicas)
@@ -225,27 +229,27 @@ class ReplicaStore:
     def accept(
         self, fragment: Fragment, item: DataItem, declared_success: float, now: float
     ) -> Optional[Replica]:
-        """Admit a fragment if free space allows; never displaces live data.
+        """Admit a fragment if it fits the owner's room; never displaces live data.
 
-        Returns the stored replica, or None if the fragment is refused.
-        Admission uses the space left by the last purge: it does not purge
-        itself, so callers read `free_bytes(now)` first, as the save loop
-        does. Duplicates of an already-held (owner, item, version, index)
-        are rejected, as are fragments that would push the owner past its
-        fairness cap or the store past its quota. The fragment must be
-        one of `item`'s own: a mismatched (id, version) raises UsageError.
+        Returns the stored replica, or None if the fragment is a duplicate
+        of an already-held (owner, item, version, index) or is larger than
+        `room_for(owner, now)`, the one admission rule. Admission uses the
+        space left by the last purge: it does not purge itself, so callers
+        read `room_for` first, as the save loop does. A fragment is charged
+        its `fragment_wire_size`. It must be one of `item`'s own, and its
+        payload, if any, must be one chunk long: else UsageError.
         """
         if fragment.key != item.key:
             raise UsageError(f"fragment of {fragment.key} paired with item {item.key}")
+        chunk = chunk_size(fragment.original_size, fragment.k)
+        if fragment.payload is not None and len(fragment.payload) != chunk:
+            raise UsageError(f"payload of {len(fragment.payload)} B, chunk size is {chunk}")
         owner = item.owner
         key = (owner, fragment.item_id, fragment.version, fragment.index)
         if key in self._replicas:
             return None
-        size = _stored_size(fragment)
-        if self._used + size > self.quota_bytes:
-            return None
-        owner_cap = int(self.per_owner_cap * self.quota_bytes)
-        if self._used_by_owner.get(owner, 0) + size > owner_cap:
+        size = fragment_wire_size(fragment.original_size, fragment.k)
+        if size > self._room(owner, self.quota_bytes - self._used):
             return None
         replica = Replica(fragment, item, declared_success, received_at=now, size_bytes=size)
         self._replicas[key] = replica
@@ -346,7 +350,8 @@ class ReplicaStore:
 
     def recomputed_used_bytes(self) -> int:
         """Ground-truth sum for accounting checks, from the fragments themselves."""
-        return sum(_stored_size(r.fragment) for r in self._replicas.values())
+        return sum(fragment_wire_size(r.fragment.original_size, r.fragment.k)
+                   for r in self._replicas.values())
 
 
 def _minmax(values: list) -> list[float]:

@@ -3,9 +3,9 @@
 Pending items wait in a queue ordered by deficit (target priority minus
 the current estimated restore probability), largest shortfall first,
 FIFO among equals. When a terminal comes into range the loop repeatedly
-pulls the neediest item that fits the terminal's free space, ships its
-next fragment, folds the save into the item's reliability table, and
-re-queues the item only while it still falls short of its target.
+pulls the neediest item that fits the terminal's room for this owner,
+ships its next fragment, folds the save into the item's reliability
+table, and re-queues the item only while it still falls short of its target.
 
 Deficits are cached: whoever changes one sends the queue a notice, and
 the next pull re-reads only the noticed ones. An item with every fragment
@@ -24,9 +24,9 @@ from .reliability import ChannelEstimate, ReliabilityTable
 
 
 class TerminalHandle(Protocol):
-    """What the save loop needs from an encountered terminal.
-
-    Within one meeting, `free_bytes` may change only through `save`.
+    """What the save loop needs from an encountered terminal: `free_bytes()`,
+    what it will still take from this owner, and `save`, which stores any
+    fragment that fits. Within one meeting only `save` changes `free_bytes`.
     """
 
     terminal_id: str
@@ -34,12 +34,12 @@ class TerminalHandle(Protocol):
 
     def free_bytes(self) -> int: ...
 
-    def save(self, fragment: Fragment, item: DataItem, declared_success: float) -> bool: ...
+    def save(self, fragment: Fragment, item: DataItem, declared_success: float) -> None: ...
 
 
 @dataclass(frozen=True, slots=True)
 class SaveOutcome:
-    """Record of one completed fragment transfer during a meeting."""
+    """One fragment a meeting sent and the terminal stored: `saved` is always True."""
 
     item_id: str
     version: int
@@ -201,26 +201,23 @@ class Scheduler:
         """Run the save loop against one encountered terminal.
 
         Stops when the link drops, the queue empties, or nothing left in
-        the queue fits the terminal. Several fragments of one item saved
-        in this same session share the terminal's fate, so the estimate
-        is refolded through the batch update from the session-start
-        table rather than stacked as independent saves.
+        the queue fits the terminal's `free_bytes()`. Several fragments of
+        one item saved in this same session share the terminal's fate, so
+        the estimate is refolded through the batch update from the
+        session-start table rather than stacked as independent saves.
 
-        `terminal.free_bytes()` is read at most once between two saves,
-        lazily, at the first eligibility check that needs it: within one
-        meeting only a save changes it. An item with all n fragments sent
-        is passed over before that read, and is neither saved nor retired.
+        `free_bytes()` is read at most once between two saves, lazily, at
+        the first eligibility check that needs it: within one meeting only
+        a save changes it. An item with all n fragments sent is passed over
+        before that read, and is neither saved nor retired.
         """
         outcomes: list[SaveOutcome] = []
-        skips: set[VersionKey] = set()
         session_base: dict[VersionKey, ReliabilityTable] = {}
         channel = terminal.channel
-        free: Optional[int] = None  # the terminal's free bytes, read since the last save
+        free: Optional[int] = None  # the terminal's room, read since the last save
 
         def eligible(key: VersionKey) -> bool:
             nonlocal free
-            if key in skips:
-                return False
             item = self.index.get(key)
             if self.tables[key].fragments_saved >= item.n:
                 return False  # every fragment sent: left for the server flush
@@ -237,24 +234,18 @@ class Scheduler:
             item = self.index.get(key)
             if item.expired(now):
                 continue  # no longer worth sending; silently retired
-            old_table = self.tables[key]
-            next_index = old_table.fragments_saved
+            next_index = self.tables[key].fragments_saved
             size = fragment_wire_size(item.size_bytes, item.k)
             if not link.try_transfer(size):
                 # dropped mid-transfer: the fragment does not count, nor is it built
                 self.enqueue(item, self.success_of(key))
                 break
             fragment = self._fragment(key, next_index)
-            base = session_base.setdefault(key, old_table)
+            base = session_base.setdefault(key, self.tables[key])
             m = next_index - base.fragments_saved + 1
             self.tables[key] = base.add_batch_same_terminal(channel, m)
             proba = self.success_of(key)
-            if not terminal.save(fragment, item, proba):
-                self.tables[key] = old_table
-                skips.add(key)
-                self.enqueue(item, self.success_of(key))
-                outcomes.append(SaveOutcome(item.id, item.version, next_index, size, False))
-                continue
+            terminal.save(fragment, item, proba)
             free = None
             outcomes.append(SaveOutcome(item.id, item.version, next_index, size, True))
             self.enqueue(item, proba)

@@ -596,7 +596,7 @@ class Simulation:
                 continue
             if self.config.terminals.backup_peers == "nonproducers" and peer in self.schedulers:
                 continue
-            scheduler.on_meeting(_PeerTerminal(self, peer), link, now=self.now)
+            scheduler.on_meeting(_PeerTerminal(self, peer, owner), link, now=self.now)
             self._record_occupancy(peer)
 
     def _mark_served(self, key: VersionKey) -> None:
@@ -909,21 +909,22 @@ class Simulation:
 class _PeerTerminal:
     """Adapter presenting a peer's store to one owner's session of a meeting."""
 
-    def __init__(self, sim: Simulation, terminal_id: str) -> None:
+    def __init__(self, sim: Simulation, terminal_id: str, owner: str) -> None:
         self._sim = sim
         self.terminal_id = terminal_id
         self.channel = sim.channel_estimate
+        self._owner = owner
         self._fates: dict[VersionKey, bool] = {}  # the session's fate draw per version
 
     def free_bytes(self) -> int:
-        return self._sim.stores[self.terminal_id].free_bytes(self._sim.now)
+        return self._sim.stores[self.terminal_id].room_for(self._owner, self._sim.now)
 
-    def save(self, fragment, item: DataItem, declared_success: float) -> bool:
+    def save(self, fragment, item: DataItem, declared_success: float) -> None:
         store = self._sim.stores[self.terminal_id]
         replica = store.accept(fragment, item, declared_success, self._sim.now)
-        if replica is not None:
-            self._sim._record_save(self.terminal_id, item.key, replica, self._fates)
-        return replica is not None
+        if replica is None:
+            raise IntegrityError(f"{self.terminal_id} refused a fragment of {item.key} in its room")
+        self._sim._record_save(self.terminal_id, item.key, replica, self._fates)
 
 
 def run(config: ScenarioConfig, trace: Optional[TraceSink] = None) -> MetricsReport:

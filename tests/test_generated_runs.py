@@ -2,22 +2,24 @@
 
 `tests/test_stateful.py` feeds hand-picked events to one fixed config;
 here whole generated timelines run on drawn configs: 2 to 8 terminals,
-n up to 8, quotas from 500 B to 1 MiB, per-owner caps below 1 (the one
-setting under which a peer refuses a save), updates, chains and
-lifetimes, an actual retrieval rate other than the estimate, and either
-set of backup peers. One test per (payload mode, failure targets) cell
-checks every invariant after every event; one test per run identity
-checks it on plain runs.
+n up to 8, quotas from 500 B to 1 MiB, per-owner caps below 1 (which can
+make an owner's room at a peer smaller than its free space), updates,
+chains and lifetimes, an actual retrieval rate other than the estimate,
+and either set of backup peers. One test per (payload mode, failure
+targets) cell checks every invariant after every event; one test per run
+identity checks it on plain runs.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oppbak.peer import ReplicaStore
 from oppbak.scenario import config_from_dict
 from oppbak.sim import Simulation
 
@@ -140,3 +142,19 @@ def test_outcomes_cover_every_registered_version(doc):
 def test_every_trace_line_follows_the_grammar(doc):
     _, _, lines = traced_run(doc)
     assert [line for line in lines if not TRACE_LINE.match(line)] == []
+
+
+@drawn
+@given(doc=scenarios())
+def test_every_offer_is_stored_as_one_save_line(doc):
+    admitted = []
+    accept = ReplicaStore.accept
+
+    def spy(store, *args, **kwargs):
+        admitted.append(accept(store, *args, **kwargs))
+        return admitted[-1]
+
+    with mock.patch.object(ReplicaStore, "accept", spy):
+        _, _, lines = traced_run(doc)
+    assert len(admitted) == len(line_bytes(lines)["SAVE"])
+    assert None not in admitted

@@ -4,8 +4,8 @@ import random
 import pytest
 
 import oppbak.peer
-from oppbak.dispersal import HEADER_SIZE
-from oppbak.model import UsageError
+from oppbak.dispersal import HEADER_SIZE, fragment_wire_size
+from oppbak.model import Fragment, UsageError
 from oppbak.peer import (
     EvictionShortfall,
     NoticeSource,
@@ -92,6 +92,39 @@ class TestAccept:
         assert store.accept(*held(frag("a", wire_size=400), "hog"), now=0.0)
         assert not store.accept(*held(frag("b", wire_size=200), "hog"), now=0.0)
         assert store.accept(*held(frag("c", wire_size=400), "other"), now=0.0)
+
+    def test_payload_of_the_wrong_length_is_a_usage_error(self):
+        store = ReplicaStore("p", 1000)
+        with pytest.raises(UsageError):
+            store.accept(*held(Fragment("a", 1, 0, 1, 1, 10, b"abc")), now=0.0)
+        assert len(store) == 0 and store.used_bytes == 0
+        replica = store.accept(*held(Fragment("a", 1, 0, 1, 1, 10, b"0123456789")), now=0.0)
+        assert replica.size_bytes == store.used_bytes == fragment_wire_size(10, 1) == 61
+
+
+class TestRoomFor:
+    def test_smaller_of_free_space_and_owner_room(self):
+        store = ReplicaStore("p", 1000, per_owner_cap=0.5)
+        assert store.room_for("hog", 0.0) == 500
+        store.accept(*held(frag("a", wire_size=300), "hog"), now=0.0)
+        assert store.room_for("hog", 0.0) == 200  # owner room, below the 700 free
+        store.accept(*held(frag("b", wire_size=400), "other"), now=0.0)
+        assert store.room_for("third", 0.0) == 300  # free space, below the owner's 500
+        assert store.room_for("other", 0.0) == 100
+
+    def test_accept_admits_exactly_the_room(self):
+        store = ReplicaStore("p", 1000, per_owner_cap=0.5)
+        store.accept(*held(frag("a", wire_size=300), "hog"), now=0.0)
+        assert not store.accept(*held(frag("b", wire_size=201), "hog"), now=0.0)
+        assert store.accept(*held(frag("b", wire_size=200), "hog"), now=0.0)
+        assert store.room_for("hog", 0.0) == 0
+
+    def test_purges_first(self):
+        store = ReplicaStore("p", 1000, per_owner_cap=0.5)
+        store.accept(*held(frag("old", wire_size=400), "hog", lifetime=50.0), now=0.0)
+        assert store.room_for("hog", 10.0) == 100
+        assert store.room_for("hog", 60.0) == 500  # the expired replica's bytes are free
+        assert ("hog", "old", 1, 0) not in store and store.used_bytes == 0
 
 
 class TestNotify:

@@ -17,11 +17,10 @@ from conftest import enumeration_success, make_item
 class FakeTerminal:
     """Quota-limited terminal that accepts everything it has room for."""
 
-    def __init__(self, terminal_id="peer", p=0.7, quota=10**9, reject=False):
+    def __init__(self, terminal_id="peer", p=0.7, quota=10**9):
         self.terminal_id = terminal_id
         self.channel = ChannelEstimate(p)
         self.quota = quota
-        self.reject = reject
         self.saved = []
         self.reads = 0
 
@@ -30,11 +29,10 @@ class FakeTerminal:
         return self.quota
 
     def save(self, fragment, item, declared_success):
-        if self.reject:
-            return False
-        self.quota -= fragment_wire_size(item.size_bytes, item.k)
+        size = fragment_wire_size(item.size_bytes, item.k)
+        assert size <= self.quota, "offered a fragment above the free space"
+        self.quota -= size
         self.saved.append((fragment.item_id, fragment.version, fragment.index, declared_success))
-        return True
 
 
 def build_scheduler(items, owner="t00"):
@@ -315,13 +313,15 @@ class TestOnMeeting:
         assert outcomes == []
         assert len(scheduler.queue) == 0
 
-    def test_rejected_save_skips_item_for_terminal(self):
+    def test_item_above_free_space_is_never_offered(self):
         item = make_item("a", priority=0.9, n=2, k=1, size=100)
         scheduler = build_scheduler([item])
         scheduler.enqueue(item, 0.0)
         table_before = scheduler.tables[item.key]
-        outcomes = scheduler.on_meeting(FakeTerminal(reject=True), LinkSession(10**6))
-        assert [o.saved for o in outcomes] == [False]
+        terminal = FakeTerminal(quota=fragment_wire_size(100, 1) - 1)
+        link = LinkSession(10**6)
+        assert scheduler.on_meeting(terminal, link) == []
+        assert terminal.saved == [] and link.remaining == 10**6
         assert scheduler.tables[item.key] == table_before
         assert item.key in scheduler.queue  # retained for other terminals
 
