@@ -4,8 +4,11 @@ Every other layer builds on the types here: an owner's data is a set of
 versioned items connected by temporal dependency edges, each version is
 backed up on its own under an (n, k) fragmentation plan, and a
 ``VersionIndex`` tracks which versions have reached the server, which
-answers pinning. Which peers hold a version is the peers' own record; a
-conflict check is handed it.
+answers pinning. The index owns every dependency closure: it walks a
+version's dependencies once, when the version registers, and every
+later question (closures, dependents, pinning) reads what it stored.
+Which peers hold a version is the peers' own record; a conflict check is
+handed it.
 """
 
 from __future__ import annotations
@@ -127,12 +130,16 @@ class VersionIndex:
 
     Registration order doubles as creation order: a version may only
     depend on versions that are already present, which keeps the
-    dependency graph acyclic by construction.
+    dependency graph acyclic by construction, and fixes each version's
+    dependency closure: `register` walks it once and stores it.
     """
 
     def __init__(self) -> None:
         self._items: dict[VersionKey, DataItem] = {}
-        self._rdeps: dict[VersionKey, set[VersionKey]] = {}
+        # a version with dependencies -> itself and all it depends on, sorted
+        self._closures: dict[VersionKey, tuple[VersionKey, ...]] = {}
+        # a version something depends on -> every version depending on it, directly or not
+        self._dependents: dict[VersionKey, set[VersionKey]] = {}
         self._versions: dict[str, list[int]] = {}  # ascending, per item id
         self._on_server: set[VersionKey] = set()
 
@@ -152,8 +159,11 @@ class VersionIndex:
                 raise IntegrityError(f"dependency {dep} of {key} is not registered")
         self._items[key] = item
         self._versions.setdefault(item.id, []).append(item.version)
-        for dep in item.temporal_deps:
-            self._rdeps.setdefault(dep, set()).add(key)
+        if item.temporal_deps:
+            ancestors = reachable(item.temporal_deps, self._deps_of)
+            self._closures[key] = tuple(sorted(ancestors | {key}))
+            for ancestor in ancestors:
+                self._dependents.setdefault(ancestor, set()).add(key)
 
     def get(self, key: VersionKey) -> DataItem:
         try:
@@ -202,25 +212,35 @@ class VersionIndex:
     # -- dependency queries --------------------------------------------
 
     def _deps_of(self, key: VersionKey) -> tuple[VersionKey, ...]:
-        item = self._items.get(key)
-        if item is None:
-            raise IntegrityError(f"dependency {key} is not registered")
-        return item.temporal_deps
+        return self._items[key].temporal_deps
+
+    def closure_of(self, key: VersionKey) -> tuple[VersionKey, ...]:
+        """`key` and every version it depends on, sorted; stored at `register`."""
+        closure = self._closures.get(key)
+        if closure is None:
+            self.get(key)
+            closure = (key,)
+        return closure
 
     def dependency_closure(self, roots: Iterable[VersionKey]) -> set[VersionKey]:
         """`roots` and every version they depend on; an unregistered one raises IntegrityError."""
-        return reachable(roots, self._deps_of)
+        closure: set[VersionKey] = set()
+        for root in roots:
+            if root not in self._items:
+                raise IntegrityError(f"dependency {root} is not registered")
+            closure.update(self._closures.get(root, (root,)))
+        return closure
 
     def transitive_deps(self, key: VersionKey) -> set[VersionKey]:
-        return self.dependency_closure(self.get(key).temporal_deps)
+        return set(self.closure_of(key)).difference((key,))
 
     def has_dependents(self, key: VersionKey) -> bool:
-        """True if some registered version depends on `key` directly."""
-        return key in self._rdeps
+        """True if some registered version depends on `key`."""
+        return key in self._dependents
 
     def transitive_dependents(self, key: VersionKey) -> set[VersionKey]:
         """Every version that depends on `key`, directly or not."""
-        return reachable(self._rdeps.get(key, ()), lambda k: self._rdeps.get(k, ()))
+        return set(self._dependents.get(key, ()))
 
     def pinned(self, key: VersionKey) -> bool:
         """True while some dependent newer version is not yet on the server.
@@ -231,7 +251,7 @@ class VersionIndex:
         self.get(key)
         if key in self._on_server:
             return False
-        return not self.transitive_dependents(key) <= self._on_server
+        return not self._on_server.issuperset(self._dependents.get(key, ()))
 
     def records_for(
         self, item_id: str, holders: Mapping[VersionKey, Iterable[str]]
@@ -247,7 +267,9 @@ class VersionIndex:
 def reachable(roots: Iterable[Node], step: Callable[[Node], Iterable[Node]]) -> set[Node]:
     """Every node reachable from `roots` along `step` edges, roots included.
 
-    The one dependency walk. Its result is a set: callers sort or sum it.
+    `VersionIndex.register` walks a new version's dependencies with it
+    once; a peer's dependent bulk walks its own edges. The result is a
+    set: callers sort or sum it.
     """
     seen: set[Node] = set()
     stack = list(roots)

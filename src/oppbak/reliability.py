@@ -113,8 +113,7 @@ def composite_success(
     on the server contributes 1. A version without dependencies reads
     its own table alone.
     """
-    deps = item.temporal_deps
-    keys = sorted(index.dependency_closure(deps) | {item.key}) if deps else (item.key,)
+    keys = index.closure_of(item.key) if item.temporal_deps else (item.key,)
     product = 1.0
     for key in keys:
         if index.is_on_server(key):

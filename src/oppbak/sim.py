@@ -274,11 +274,14 @@ def generate_events(config: ScenarioConfig) -> list[Event]:
     the shared stream. Gaps and durations are `random.expovariate`'s
     ``-log(1 - random()) / rate``, uniforms `random.uniform`'s formula.
 
+    An index below n is `randrange(n)`'s own rejection draw, inlined:
+    ``getrandbits(n.bit_length())``, drawn again while it is n or more.
+
     - workload: per producer, gaps; after each a log-uniform size, a priority,
       `random()` for an update, then for a chain (each only while possible),
-      then `randrange` for the slot or the dependency.
+      then an index below the history's length for the slot or the dependency.
     - mobility: gaps; after each the pair, as `random.sample(names, 2)` draws
-      it, then a duration.
+      its indices, then a duration.
     - infrastructure: per terminal, gaps, each followed by a duration.
     - failures: one gap per targeted terminal, a failure if it is in time.
 
@@ -293,7 +296,7 @@ def generate_events(config: ScenarioConfig) -> list[Event]:
 
     w = config.workload
     rng = _stream(config.seed, "workload")
-    rand, randrange = rng.random, rng.randrange
+    rand, bits = rng.random, rng.getrandbits
     rate = w.items_per_hour / 3600.0
     log_lo, log_span = log(w.size_min_bytes), log(w.size_max_bytes) - log(w.size_min_bytes)
     priority_span = w.priority_max - w.priority_min
@@ -307,8 +310,13 @@ def generate_events(config: ScenarioConfig) -> list[Event]:
             priority = w.priority_min + priority_span * rand()
             update = bool(history) and rand() < w.update_fraction
             chain = (not update) and bool(history) and rand() < w.chain_fraction
+            if update or chain:
+                n = len(history)
+                n_bits = n.bit_length()
+                slot = bits(n_bits)
+                while slot >= n:
+                    slot = bits(n_bits)
             if update:
-                slot = randrange(len(history))
                 item_id, prev_version = history[slot]
                 version = prev_version + 1
                 deps: tuple[VersionKey, ...] = ((item_id, prev_version),)
@@ -317,10 +325,7 @@ def generate_events(config: ScenarioConfig) -> list[Event]:
                 item_id = f"{owner}/d{counter:04d}"
                 counter += 1
                 version = 1
-                deps = ()
-                if chain:
-                    dep_id, dep_version = history[randrange(len(history))]
-                    deps = ((dep_id, dep_version),)
+                deps = (history[slot],) if chain else ()
                 history.append((item_id, version))
             append(
                 DataProducedEvent(
@@ -343,22 +348,27 @@ def generate_events(config: ScenarioConfig) -> list[Event]:
 
     m = config.mobility
     rng = _stream(config.seed, "mobility")
-    rand, randrange = rng.random, rng.randrange
+    rand, bits = rng.random, rng.getrandbits
     rate = m.encounter_rate_per_hour / 3600.0
     duration_rate = 1.0 / m.contact_duration_mean_s
     count, last = len(names), len(names) - 1
+    count_bits, last_bits = count.bit_length(), last.bit_length()
     t = -log(1.0 - rand()) / rate if rate > 0 else horizon
     while t < horizon:
         # random.sample(names, 2) index for index, both paths pinned by the golden
         # digests: up to 21 names a pool (first pick swapped for the last), else redraws
-        a = randrange(count)
+        a = bits(count_bits)
+        while a >= count:
+            a = bits(count_bits)
         if count <= 21:
-            b = randrange(last)
+            b = bits(last_bits)
+            while b >= last:
+                b = bits(last_bits)
             b = last if b == a else b
         else:
-            b = randrange(count)
-            while b == a:
-                b = randrange(count)
+            b = bits(count_bits)
+            while b >= count or b == a:
+                b = bits(count_bits)
         if b < a:  # zero-padded names: index order is name order
             a, b = b, a
         duration = -log(1.0 - rand()) / duration_rate
@@ -398,9 +408,10 @@ class _Tables(dict):
     the version and its dependency closure, so replacing its table, or the
     version reaching the server (`notice_dependents`), may change the
     deficit cached for it and for everything depending on it directly or
-    not. Each of those is noticed to its owner's queue, which ignores
-    keys it does not hold; a version nothing depends on notices only
-    itself. With no reference to the simulation, the map adds no cycle.
+    not, as the index stored them at registration. Each of those is
+    noticed to its owner's queue, which ignores keys it does not hold; a
+    version nothing depends on notices only itself. With no reference to
+    the simulation, the map adds no cycle.
     """
 
     def __init__(self, index: VersionIndex, queues: dict[str, BackupQueue]) -> None:

@@ -119,6 +119,16 @@ def held(
     return fragment, item, declared
 
 
+def brute_closure(edges: dict, roots) -> set:
+    """`roots` and all they depend on: grow the set until no edge adds anything."""
+    closure = set(roots)
+    while True:
+        grown = closure | {d for key in closure for d in edges[key]}
+        if grown == closure:
+            return closure
+        closure = grown
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from oppbak import model as model_module
 from oppbak.model import (
     ConflictReport,
     DataItem,
@@ -17,17 +18,18 @@ from oppbak.model import (
     propagate_priority,
 )
 from oppbak.peer import Replica
-from oppbak.reliability import ChannelEstimate, ReliabilityTable
-from oppbak.scheduler import SaveOutcome
+from oppbak.reliability import ChannelEstimate, ReliabilityTable, composite_success
+from oppbak.scheduler import BackupQueue, SaveOutcome
 from oppbak.sim import (
     DataProducedEvent,
     EncounterEvent,
     InternetWindowEvent,
     RestoreAttemptEvent,
     TerminalFailureEvent,
+    _Tables,
 )
 
-from conftest import held, make_fragment, make_item
+from conftest import brute_closure, held, make_fragment, make_item
 
 
 class TestDataItem:
@@ -183,16 +185,35 @@ class TestPinning:
         index.mark_on_server(("top", 1))
         assert not index.pinned(("base", 1))
 
+    def test_ancestor_reached_only_through_a_diamond(self, index: VersionIndex):
+        index.register(make_item("base"))
+        index.register(make_item("left", deps=(("base", 1),)))
+        index.register(make_item("right", deps=(("base", 1),)))
+        index.register(make_item("top", deps=(("left", 1), ("right", 1))))
+        index.mark_on_server(("left", 1))
+        index.mark_on_server(("right", 1))
+        assert index.transitive_dependents(("base", 1)) == {("left", 1), ("right", 1), ("top", 1)}
+        assert index.pinned(("base", 1))  # top is off the server
+        index.mark_on_server(("top", 1))
+        assert not index.pinned(("base", 1))
+
 
 class TestDependencyWalk:
     @staticmethod
-    def _random_dag(index: VersionIndex, rng: random.Random) -> dict:
+    def _growing_dag(index: VersionIndex, rng: random.Random):
+        """Register 30 versions with up to 3 dependencies each; yield the edges after each."""
         edges = {}
         for i in range(30):
             deps = tuple(rng.sample(list(edges), k=min(len(edges), rng.randrange(4))))
             item = make_item(f"i{i}", deps=deps)
             index.register(item)
             edges[item.key] = deps
+            yield edges
+
+    @classmethod
+    def _random_dag(cls, index: VersionIndex, rng: random.Random) -> dict:
+        for edges in cls._growing_dag(index, rng):
+            pass
         return edges
 
     def test_closure_matches_brute_force(self, rng: random.Random):
@@ -200,24 +221,43 @@ class TestDependencyWalk:
             index = VersionIndex()
             edges = self._random_dag(index, rng)
             roots = rng.sample(list(edges), k=rng.randrange(1, 4))
-            # brute force: grow the set until no edge adds anything
-            oracle = set(roots)
-            while True:
-                grown = oracle | {d for key in oracle for d in edges[key]}
-                if grown == oracle:
-                    break
-                oracle = grown
-            assert index.dependency_closure(roots) == oracle
+            assert index.dependency_closure(roots) == brute_closure(edges, roots)
+
+    def test_no_walk_after_registration(self, monkeypatch, rng: random.Random):
+        walks = []
+        walk = model_module.reachable
+        monkeypatch.setattr(model_module, "reachable",
+                            lambda *args: walks.append(args) or walk(*args))
+        index = VersionIndex()
+        edges = self._random_dag(index, rng)
+        assert len(walks) == sum(1 for deps in edges.values() if deps)
+        walks.clear()
+        keys = list(edges)
+        tables = {key: ReliabilityTable.fresh(1).add_fragment(0.5) for key in keys}
+        notices = _Tables(index, {"t00": BackupQueue()})
+        for key in keys[::3]:
+            index.mark_on_server(key)
+        for key in keys:
+            composite_success(index.get(key), tables, index)
+            index.pinned(key)
+            index.transitive_dependents(key)
+            notices.notice_dependents(key)
+        assert walks == []
 
     def test_deps_and_dependents_are_converse(self, rng: random.Random):
+        # after every register: the stored closures and dependents grow with the graph
         for _ in range(10):
             index = VersionIndex()
-            keys = list(self._random_dag(index, rng))
-            for a in keys:
-                deps = index.transitive_deps(a)
-                assert a not in deps
-                for b in keys:
-                    assert (b in deps) == (a in index.transitive_dependents(b))
+            for edges in self._growing_dag(index, rng):
+                keys = list(edges)
+                dependents = {key: index.transitive_dependents(key) for key in keys}
+                for a in keys:
+                    assert index.closure_of(a) == tuple(sorted(brute_closure(edges, [a])))
+                    deps = index.transitive_deps(a)
+                    assert a not in deps
+                    for b in keys:
+                        assert (b in deps) == (a in dependents[b])
+                    assert index.has_dependents(a) == bool(dependents[a])
 
     def test_unregistered_dependency_errors(self, index: VersionIndex):
         with pytest.raises(IntegrityError):

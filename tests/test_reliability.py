@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from oppbak.model import IntegrityError, UsageError, VersionIndex
 from oppbak.reliability import ChannelEstimate, composite_success, new_table
 
-from conftest import enumeration_success, joint_restore_probability, make_item
+from conftest import (
+    brute_closure,
+    enumeration_success,
+    joint_restore_probability,
+    make_item,
+)
 
 
 class TestFreshTable:
@@ -212,6 +217,23 @@ class TestCompositeSuccess:
         tables = self._tables_for(index, {("new", 1): 0.8})
         with pytest.raises(IntegrityError):
             composite_success(item, tables, index)
+
+    def test_product_over_the_sorted_closure_is_exact(self, rng: random.Random):
+        for _ in range(20):
+            index, edges = VersionIndex(), {}
+            for j in range(12):
+                deps = tuple(rng.sample(list(edges), k=min(len(edges), rng.randrange(3))))
+                item = make_item(f"i{j:02d}", deps=deps)
+                index.register(item)
+                edges[item.key] = deps
+                if rng.random() < 0.2:
+                    index.mark_on_server(item.key)
+            tables = self._tables_for(index, {key: rng.random() for key in edges})
+            for key in edges:
+                want = 1.0
+                for k in sorted(brute_closure(edges, [key])):
+                    want *= 1.0 if index.is_on_server(k) else tables[k].success
+                assert composite_success(index.get(key), tables, index) == want
 
     def test_random_dags_match_joint_oracle(self, index: VersionIndex, rng: random.Random):
         names = [f"i{j}" for j in range(8)]

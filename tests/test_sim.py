@@ -956,6 +956,28 @@ class TestTimelineDraws:
         assert events == reference_events(config)
         assert any(isinstance(e, TerminalFailureEvent) for e in events)
 
+    @pytest.mark.parametrize("count", [2, 3, 20, 21, 22, 23, 100])
+    def test_pairs_are_random_sample_on_both_sides_of_its_switch(self, count):
+        # random.sample(names, 2) draws from a pool up to 21 names and redraws
+        # repeats above; replay the mobility stream with the stdlib calls
+        for seed in range(20):
+            config = self.config(count, seed, workload={"items_per_hour": 0.0},
+                                 infrastructure={"window_rate_per_hour": 0.0},
+                                 failures={"rate_per_hour": 0.0})
+            m = config.mobility
+            names = _terminal_names(count)
+            rng = _stream(seed, "mobility")
+            rate = m.encounter_rate_per_hour / 3600.0
+            expected = []
+            t = rng.expovariate(rate)  # one random() each
+            while t < config.horizon_s:
+                a, b = sorted(rng.sample(names, 2))
+                duration = rng.expovariate(1.0 / m.contact_duration_mean_s)
+                expected.append((t, a, b, duration))
+                t += rng.expovariate(rate)
+            got = [(e.time, e.a, e.b, e.duration) for e in generate_events(config)]
+            assert len(got) > 100 and got == expected
+
     @pytest.mark.parametrize("section, key", [
         ("workload", "items_per_hour"),
         ("mobility", "encounter_rate_per_hour"),
