@@ -3,9 +3,8 @@ reads of one ascending key list: the whole store, one owner's run of it,
 or the run of one owner's item that a notice names.
 
 A peer grants the backup service a fixed byte quota, shared among owners:
-a fragment is admitted only into its owner's room, the space left free by
-the last purge of replicas that expired or were flagged useless, capped
-by the owner's share under `per_owner_cap`. Under pressure, live replicas
+a fragment is admitted only into the space left free by the last purge of
+replicas that expired or were flagged useless. Under pressure, live replicas
 go in order of one unweighted score: oldest/over-provisioned/bulkiest first,
 but never while a replica is pinned (an old version still protecting a
 newer one that has not reached the server). A replica is held under its
@@ -81,7 +80,8 @@ DeleteHook = Callable[[Replica, str], None]
 
 
 class ReplicaStore:
-    """Replica set of one terminal: exact byte accounting, unweighted eviction.
+    """Replica set of one terminal: exact byte accounting, admission into the
+    free space, unweighted eviction.
 
     `pin_check(item_id, version)` answers whether an old version must be
     retained; by default nothing is pinned. `on_delete(replica, reason)`
@@ -104,17 +104,13 @@ class ReplicaStore:
         terminal_id: str,
         quota_bytes: int,
         *,
-        per_owner_cap: float = 1.0,
         pin_check: Optional[PinCheck] = None,
         on_delete: Optional[DeleteHook] = None,
     ) -> None:
         if quota_bytes < 0:
             raise UsageError(f"quota must be >= 0, got {quota_bytes}")
-        if not 0.0 < per_owner_cap <= 1.0:
-            raise UsageError(f"per-owner cap must be in (0, 1], got {per_owner_cap}")
         self.terminal_id = terminal_id
         self.quota_bytes = quota_bytes
-        self.per_owner_cap = per_owner_cap
         self._pin_check = pin_check or (lambda item_id, version: False)
         self._on_delete = on_delete
         self._replicas: dict[ReplicaKey, Replica] = {}
@@ -122,16 +118,12 @@ class ReplicaStore:
         self._expiry: list[tuple[float, ReplicaKey]] = []  # may hold stale entries
         self._not_live: set[ReplicaKey] = set()
         self._used = 0
-        self._used_by_owner: dict[str, int] = {}
 
     # -- accounting -----------------------------------------------------
 
     @property
     def used_bytes(self) -> int:
         return self._used
-
-    def used_bytes_of(self, owner: str) -> int:
-        return self._used_by_owner.get(owner, 0)
 
     def free_bytes(self, now: float) -> int:
         """Advertised admission space: quota minus usage after a purge.
@@ -141,15 +133,6 @@ class ReplicaStore:
         """
         self.purge(now)
         return self.quota_bytes - self._used
-
-    def room_for(self, owner: str, now: float) -> int:
-        """Bytes this store still admits from `owner`: the free space after a
-        purge, capped by the owner's room under `per_owner_cap`."""
-        return self._room(owner, self.free_bytes(now))
-
-    def _room(self, owner: str, free: int) -> int:
-        owner_room = int(self.per_owner_cap * self.quota_bytes) - self._used_by_owner.get(owner, 0)
-        return min(free, owner_room)
 
     def __len__(self) -> int:
         return len(self._replicas)
@@ -184,14 +167,7 @@ class ReplicaStore:
         replica = self._replicas.pop(key)
         del self._keys[bisect_left(self._keys, key)]
         self._not_live.discard(key)
-        owner = key[0]
-        size = replica.size_bytes
-        self._used -= size
-        owner_used = self._used_by_owner[owner] - size
-        if owner_used:
-            self._used_by_owner[owner] = owner_used
-        else:
-            del self._used_by_owner[owner]
+        self._used -= replica.size_bytes
         if self._on_delete is not None:
             self._on_delete(replica, reason)
 
@@ -229,13 +205,13 @@ class ReplicaStore:
     def accept(
         self, fragment: Fragment, item: DataItem, declared_success: float, now: float
     ) -> Optional[Replica]:
-        """Admit a fragment if it fits the owner's room; never displaces live data.
+        """Admit a fragment if it fits the free space; never displaces live data.
 
         Returns the stored replica, or None if the fragment is a duplicate
         of an already-held (owner, item, version, index) or is larger than
-        `room_for(owner, now)`, the one admission rule. Admission uses the
-        space left by the last purge: it does not purge itself, so callers
-        read `room_for` first, as the save loop does. A fragment is charged
+        the free space, the one admission rule. Admission uses the space
+        left by the last purge: it does not purge itself, so callers read
+        `free_bytes(now)` first, as the save loop does. A fragment is charged
         its `fragment_wire_size`. It must be one of `item`'s own, and its
         payload, if any, must be one chunk long: else UsageError.
         """
@@ -244,12 +220,11 @@ class ReplicaStore:
         chunk = chunk_size(fragment.original_size, fragment.k)
         if fragment.payload is not None and len(fragment.payload) != chunk:
             raise UsageError(f"payload of {len(fragment.payload)} B, chunk size is {chunk}")
-        owner = item.owner
-        key = (owner, fragment.item_id, fragment.version, fragment.index)
+        key = (item.owner, fragment.item_id, fragment.version, fragment.index)
         if key in self._replicas:
             return None
         size = fragment_wire_size(fragment.original_size, fragment.k)
-        if size > self._room(owner, self.quota_bytes - self._used):
+        if size > self.quota_bytes - self._used:
             return None
         replica = Replica(fragment, item, declared_success, received_at=now, size_bytes=size)
         self._replicas[key] = replica
@@ -257,7 +232,6 @@ class ReplicaStore:
         if item.lifetime is not None:
             heapq.heappush(self._expiry, (item.lifetime, key))
         self._used += size
-        self._used_by_owner[owner] = self._used_by_owner.get(owner, 0) + size
         return replica
 
     def notify(self, source: NoticeSource, owner: str, item_id: str, version: int) -> int:

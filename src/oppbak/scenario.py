@@ -65,11 +65,6 @@ class FailureSpec:
 
 
 @dataclass(frozen=True)
-class EvictionSpec:
-    per_owner_cap: float = 1.0
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     seed: int = 1
     horizon_s: float = 7200.0
@@ -81,7 +76,6 @@ class ScenarioConfig:
     mobility: MobilitySpec = field(default_factory=MobilitySpec)
     infrastructure: InfrastructureSpec = field(default_factory=InfrastructureSpec)
     failures: FailureSpec = field(default_factory=FailureSpec)
-    eviction: EvictionSpec = field(default_factory=EvictionSpec)
 
     def validate(self) -> "ScenarioConfig":
         _check_finite(self)
@@ -113,7 +107,6 @@ class ScenarioConfig:
             (i.bandwidth_bytes_per_s > 0, "infrastructure.bandwidth_bytes_per_s must be > 0"),
             (f.rate_per_hour >= 0, "failures.rate_per_hour must be >= 0"),
             (f.targets in ("producers", "all"), "failures.targets must be producers|all"),
-            (0.0 < self.eviction.per_owner_cap <= 1.0, "eviction.per_owner_cap must be in (0, 1]"),
         ]
         for ok, message in checks:
             if not ok:

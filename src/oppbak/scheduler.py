@@ -3,7 +3,7 @@
 Pending items wait in a queue ordered by deficit (target priority minus
 the current estimated restore probability), largest shortfall first,
 FIFO among equals. When a terminal comes into range the loop repeatedly
-pulls the neediest item that fits the terminal's room for this owner,
+pulls the neediest item whose next fragment fits the terminal's free space,
 ships its next fragment, folds the save into the item's reliability
 table, and re-queues the item only while it still falls short of its target.
 
@@ -25,8 +25,8 @@ from .reliability import ChannelEstimate, ReliabilityTable
 
 class TerminalHandle(Protocol):
     """What the save loop needs from an encountered terminal: `free_bytes()`,
-    what it will still take from this owner, and `save`, which stores any
-    fragment that fits. Within one meeting only `save` changes `free_bytes`.
+    the space its store admits into after a purge, and `save`, which stores
+    any fragment that fits. Within one meeting only `save` changes `free_bytes`.
     """
 
     terminal_id: str
@@ -214,7 +214,7 @@ class Scheduler:
         outcomes: list[SaveOutcome] = []
         session_base: dict[VersionKey, ReliabilityTable] = {}
         channel = terminal.channel
-        free: Optional[int] = None  # the terminal's room, read since the last save
+        free: Optional[int] = None  # the terminal's free space, read since the last save
 
         def eligible(key: VersionKey) -> bool:
             nonlocal free

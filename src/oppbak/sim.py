@@ -466,7 +466,6 @@ class Simulation:
             self.stores[terminal] = ReplicaStore(
                 terminal,
                 config.terminals.quota_bytes,
-                per_owner_cap=config.eviction.per_owner_cap,
                 pin_check=self._pin_check,
                 on_delete=self._deletion_hook(terminal),
             )
@@ -562,15 +561,15 @@ class Simulation:
             self.owned_ids[owner].append(item.id)
         raised = propagate_priority(self.index, item)
         self.tables[item.key] = ReliabilityTable.fresh(item.k)
-        scheduler = self.schedulers[owner]
-        scheduler.enqueue(item, self.success_of(item.key))
-        # a raised dependency may fall short of its new target again
+        self.schedulers[owner].enqueue(item, self.success_of(item.key))
+        # a raised dependency may fall short of its new target again, in its own owner's queue
         for dep_key in sorted(raised):
             dep = self.index.get(dep_key)
-            self.schedulers[dep.owner].queue.notice(dep_key)  # its deficit grew
-            if dep.owner == owner and dep_key not in scheduler.queue:
-                if not self.index.is_on_server(dep_key):
-                    scheduler.enqueue(dep, self.success_of(dep_key))
+            dep_scheduler = self.schedulers[dep.owner]
+            if dep_key in dep_scheduler.queue:
+                dep_scheduler.queue.notice(dep_key)  # its deficit grew
+            elif self.alive[dep.owner] and not self.index.is_on_server(dep_key):
+                dep_scheduler.enqueue(dep, self.success_of(dep_key))
         self._trace("PRODUCE", item.size_bytes, owner=owner, item=item.key)
 
     def _send_owner_notices(self, owner: str, peer: str) -> None:
@@ -607,7 +606,7 @@ class Simulation:
                 continue
             if self.config.terminals.backup_peers == "nonproducers" and peer in self.schedulers:
                 continue
-            scheduler.on_meeting(_PeerTerminal(self, peer, owner), link, now=self.now)
+            scheduler.on_meeting(_PeerTerminal(self, peer), link, now=self.now)
             self._record_occupancy(peer)
 
     def _mark_served(self, key: VersionKey) -> None:
@@ -920,21 +919,20 @@ class Simulation:
 class _PeerTerminal:
     """Adapter presenting a peer's store to one owner's session of a meeting."""
 
-    def __init__(self, sim: Simulation, terminal_id: str, owner: str) -> None:
+    def __init__(self, sim: Simulation, terminal_id: str) -> None:
         self._sim = sim
         self.terminal_id = terminal_id
         self.channel = sim.channel_estimate
-        self._owner = owner
         self._fates: dict[VersionKey, bool] = {}  # the session's fate draw per version
 
     def free_bytes(self) -> int:
-        return self._sim.stores[self.terminal_id].room_for(self._owner, self._sim.now)
+        return self._sim.stores[self.terminal_id].free_bytes(self._sim.now)
 
     def save(self, fragment, item: DataItem, declared_success: float) -> None:
         store = self._sim.stores[self.terminal_id]
         replica = store.accept(fragment, item, declared_success, self._sim.now)
         if replica is None:
-            raise IntegrityError(f"{self.terminal_id} refused a fragment of {item.key} in its room")
+            raise IntegrityError(f"{self.terminal_id} refused a fitting fragment of {item.key}")
         self._sim._record_save(self.terminal_id, item.key, replica, self._fates)
 
 

@@ -6,8 +6,8 @@ against recomputation from scratch:
 
 * `purge(now)` deletes exactly what a full scan selects, in key order
   and for the same reasons;
-* every store's byte count equals the recomputed sum, is at most its
-  quota, and each owner's share of it at most `per_owner_cap` of the quota;
+* every store's byte count equals the recomputed sum and is at most its
+  quota;
 * every store's key list is strictly ascending, and its per-owner
   replicas and held (owner, item id) pairs equal a full scan of it;
 * every held replica belongs to a registered version of its owner and
@@ -73,9 +73,6 @@ def check_invariants(sim: Simulation, log: TraceLog) -> None:
         assert store.used_bytes == store.recomputed_used_bytes(), terminal
         assert store.used_bytes == sum(r.size_bytes for r in replicas), terminal
         assert store.used_bytes <= store.quota_bytes, terminal
-        owner_cap = int(store.per_owner_cap * store.quota_bytes)
-        for owner in {r.item.owner for r in replicas}:
-            assert store.used_bytes_of(owner) <= owner_cap, (terminal, owner)
         for owner in sim.producers:
             expected = [r for r in replicas if r.item.owner == owner]
             assert store.replicas_of(owner) == expected, (terminal, owner)

@@ -2,12 +2,13 @@
 
 `tests/test_stateful.py` feeds hand-picked events to one fixed config;
 here whole generated timelines run on drawn configs: 2 to 8 terminals,
-n up to 8, quotas from 500 B to 1 MiB, per-owner caps below 1 (which can
-make an owner's room at a peer smaller than its free space), updates,
-chains and lifetimes, an actual retrieval rate other than the estimate,
-and either set of backup peers. One test per (payload mode, failure
-targets) cell checks every invariant after every event; one test per run
-identity checks it on plain runs.
+n up to 8, quotas from 500 B to 1 MiB, updates, chains and lifetimes,
+an actual retrieval rate other than the estimate, and either set of
+backup peers. One test per (payload mode, failure targets) cell checks
+every invariant after every event; one test per run identity checks it
+on plain runs; and two relations compare the runs of two related
+configs, which must agree byte for byte: R1, payload mode on and off,
+and R3, a quota that is never pressed and ten times that quota.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from collections import defaultdict
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from oppbak.dispersal import fragment_wire_size
 from oppbak.peer import ReplicaStore
 from oppbak.scenario import config_from_dict
 from oppbak.sim import Simulation
@@ -74,7 +76,6 @@ def scenarios(draw, payload_mode=st.booleans(), targets=st.sampled_from(TARGETS)
             "bandwidth_bytes_per_s": draw(st.floats(5_000.0, 200_000.0)),
         },
         "failures": {"rate_per_hour": draw(st.floats(0.0, 2.0)), "targets": draw(targets)},
-        "eviction": {"per_owner_cap": draw(st.floats(0.1, 1.0))},
     }
 
 
@@ -158,3 +159,31 @@ def test_every_offer_is_stored_as_one_save_line(doc):
         _, _, lines = traced_run(doc)
     assert len(admitted) == len(line_bytes(lines)["SAVE"])
     assert None not in admitted
+
+
+@drawn
+@given(doc=scenarios())
+def test_payload_mode_decides_nothing(doc):
+    """R1: payloads come from their own generator and a restore only checks
+    its rebuild, so a size-only run and a payload run agree byte for byte."""
+    _, sized, sized_lines = traced_run({**doc, "payload_mode": False})
+    _, payload, payload_lines = traced_run({**doc, "payload_mode": True})
+    assert payload.json_bytes() == sized.json_bytes()
+    assert payload_lines == sized_lines
+
+
+@drawn
+@given(doc=scenarios())
+def test_a_slack_quota_decides_nothing(doc):
+    """R3: where no store is ever pressed, ten times the quota changes nothing,
+    since the quota is admission's only bound. Unpressed: every store's peak
+    occupancy plus the largest fragment fits the smaller quota."""
+    _, report, lines = traced_run(doc)
+    peak = max(used for points in report.occupancy.values() for _, used in points)
+    largest = fragment_wire_size(doc["workload"]["size_max_bytes"], doc["workload"]["k"])
+    quota = doc["terminals"]["quota_bytes"]
+    assume(peak + largest <= quota)
+    slack_doc = {**doc, "terminals": {**doc["terminals"], "quota_bytes": 10 * quota}}
+    _, slack, slack_lines = traced_run(slack_doc)
+    assert slack.json_bytes() == report.json_bytes()
+    assert slack_lines == lines

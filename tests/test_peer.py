@@ -73,10 +73,9 @@ class TestAccept:
         assert store.accept(fragment, item, declared, now=0.0).item is item
 
     def test_refusals_return_none(self):
-        store = ReplicaStore("p", 1000, per_owner_cap=0.5)
+        store = ReplicaStore("p", 1000)
         assert store.accept(*held(frag("a", wire_size=400), "hog"), now=0.0) is not None
         assert store.accept(*held(frag("a", wire_size=400), "hog"), now=0.0) is None  # duplicate
-        assert store.accept(*held(frag("b", wire_size=200), "hog"), now=0.0) is None  # owner cap
         assert store.accept(*held(frag("c", wire_size=400), "other"), now=0.0) is not None
         assert store.accept(*held(frag("d", wire_size=300), "third"), now=0.0) is None  # quota
         assert store.used_bytes == 800
@@ -87,12 +86,6 @@ class TestAccept:
         assert not store.accept(*held(frag()), now=0.0)
         assert store.accept(*held(frag(index=1, wire_size=300)), now=0.0)
 
-    def test_per_owner_cap(self):
-        store = ReplicaStore("p", 1000, per_owner_cap=0.5)
-        assert store.accept(*held(frag("a", wire_size=400), "hog"), now=0.0)
-        assert not store.accept(*held(frag("b", wire_size=200), "hog"), now=0.0)
-        assert store.accept(*held(frag("c", wire_size=400), "other"), now=0.0)
-
     def test_payload_of_the_wrong_length_is_a_usage_error(self):
         store = ReplicaStore("p", 1000)
         with pytest.raises(UsageError):
@@ -102,29 +95,23 @@ class TestAccept:
         assert replica.size_bytes == store.used_bytes == fragment_wire_size(10, 1) == 61
 
 
-class TestRoomFor:
-    def test_smaller_of_free_space_and_owner_room(self):
-        store = ReplicaStore("p", 1000, per_owner_cap=0.5)
-        assert store.room_for("hog", 0.0) == 500
+class TestFreeBytes:
+    def test_accept_admits_exactly_the_free_space(self):
+        store = ReplicaStore("p", 1000)
         store.accept(*held(frag("a", wire_size=300), "hog"), now=0.0)
-        assert store.room_for("hog", 0.0) == 200  # owner room, below the 700 free
-        store.accept(*held(frag("b", wire_size=400), "other"), now=0.0)
-        assert store.room_for("third", 0.0) == 300  # free space, below the owner's 500
-        assert store.room_for("other", 0.0) == 100
-
-    def test_accept_admits_exactly_the_room(self):
-        store = ReplicaStore("p", 1000, per_owner_cap=0.5)
-        store.accept(*held(frag("a", wire_size=300), "hog"), now=0.0)
-        assert not store.accept(*held(frag("b", wire_size=201), "hog"), now=0.0)
-        assert store.accept(*held(frag("b", wire_size=200), "hog"), now=0.0)
-        assert store.room_for("hog", 0.0) == 0
+        store.accept(*held(frag("b", wire_size=200), "other"), now=0.0)
+        assert store.free_bytes(0.0) == 500
+        assert not store.accept(*held(frag("c", wire_size=501), "hog"), now=0.0)
+        assert store.accept(*held(frag("c", wire_size=500), "hog"), now=0.0)
+        assert store.free_bytes(0.0) == 0 and store.used_bytes == store.quota_bytes
 
     def test_purges_first(self):
-        store = ReplicaStore("p", 1000, per_owner_cap=0.5)
+        store = ReplicaStore("p", 1000)
         store.accept(*held(frag("old", wire_size=400), "hog", lifetime=50.0), now=0.0)
-        assert store.room_for("hog", 10.0) == 100
-        assert store.room_for("hog", 60.0) == 500  # the expired replica's bytes are free
-        assert ("hog", "old", 1, 0) not in store and store.used_bytes == 0
+        store.accept(*held(frag("new", wire_size=500), "hog"), now=0.0)
+        assert store.free_bytes(10.0) == 100
+        assert store.free_bytes(60.0) == 500  # the expired replica's bytes are free
+        assert ("hog", "old", 1, 0) not in store and store.used_bytes == 500
 
 
 class TestNotify:
@@ -492,10 +479,6 @@ class TestAccountingProperty:
                     pass
             assert store.used_bytes == store.recomputed_used_bytes()
             assert store.used_bytes <= store.quota_bytes
-            for owner in {r.item.owner for r in store.replicas()}:
-                assert store.used_bytes_of(owner) == sum(
-                    r.size_bytes for r in store.replicas() if r.item.owner == owner
-                )
             for owner in (f"t{i}" for i in range(5)):
                 assert store.replicas_of(owner) == [
                     r for r in store.replicas() if r.item.owner == owner

@@ -45,9 +45,9 @@ class TestStrictParsing:
             ({"server_reach_factor": 1.0}, "unknown key.*server_reach_factor"),
             ({"workload": {"mergeable": False}}, "workload.*unknown key.*mergeable"),
             ({"failures": {"targets": "none"}}, "failures.targets must be producers|all"),
-            ({"eviction": {"w_age": 1.0}}, "eviction.*unknown key.*w_age"),
-            ({"eviction": {"w_res": 1.0}}, "eviction.*unknown key.*w_res"),
-            ({"eviction": {"w_size": 1.0}}, "eviction.*unknown key.*w_size"),
+            ({"eviction": {"w_age": 1.0}}, "^scenario root: unknown key.*eviction"),
+            ({"eviction": {"w_res": 1.0}}, "^scenario root: unknown key.*eviction"),
+            ({"eviction": {"w_size": 1.0}}, "^scenario root: unknown key.*eviction"),
         ],
     )
     def test_removed_settings_are_rejected(self, document, message):
@@ -89,7 +89,6 @@ class TestStrictParsing:
             ("workload", "lifetime_s"),
             ("terminals", "true_retrieval"),
             ("mobility", "bandwidth_bytes_per_s"),
-            ("eviction", "per_owner_cap"),
         ],
     )
     def test_non_finite_numbers_are_rejected(self, tmp_path, section, field, value):
@@ -112,7 +111,6 @@ class TestStrictParsing:
             ("workload", "lifetime_s"),
             ("terminals", "true_retrieval"),
             ("infrastructure", "window_duration_mean_s"),
-            ("eviction", "per_owner_cap"),
         ],
     )
     def test_non_finite_numbers_from_python_are_rejected(self, section, field, value):

@@ -411,6 +411,26 @@ class TestScriptedRuns:
         produce(sim, 6.0, later)
         assert queue.keys() == [later.key, top.key]
 
+    @pytest.mark.parametrize("before", ["nothing", "failure", "upload"])
+    def test_raised_dependency_requeued_in_its_own_owners_queue(self, before):
+        """t01's new version raises t00's saved, satisfied dependency to 0.99:
+        it goes back into t00's queue, unless t00 failed or it is on the server."""
+        sim = Simulation(quiet_config(terminals={"producers": 2}))
+        dep = item_spec("t00/d0000", priority=0.5, n=4, k=1)
+        produce(sim, 1.0, dep)
+        meet(sim, 5.0, "t00", "t02", fragment_wire_size(1000, 1))
+        queue = sim.schedulers["t00"].queue
+        assert sim.tables[dep.key].fragments_saved == 1 and len(queue) == 0  # 0.9 >= 0.5
+        if before == "failure":
+            fail_and_restore(sim, 6.0, "t00")
+        elif before == "upload":
+            sim.process(InternetWindowEvent(time=6.0, terminal="t02", duration=1.0,
+                                            bandwidth=10**6))
+            assert sim.index.is_on_server(dep.key)
+        produce(sim, 7.0, item_spec("t01/d0000", owner="t01", priority=0.99, deps=(dep.key,)))
+        assert sim.index.get(dep.key).priority == 0.99
+        assert queue.keys() == ([dep.key] if before == "nothing" else [])
+
     def test_expired_items_not_measured(self):
         sim = Simulation(quiet_config())
         produce(sim, 1.0, item_spec(lifetime=100.0))

@@ -42,7 +42,6 @@ CONFIG = config_from_dict(
         "mobility": {"encounter_rate_per_hour": 0.0},
         "infrastructure": {"window_rate_per_hour": 0.0},
         "failures": {"rate_per_hour": 0.0},
-        "eviction": {"per_owner_cap": 0.5},  # caps each owner's room at a peer at 3,000 B
     }
 )
 
