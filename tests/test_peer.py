@@ -86,6 +86,13 @@ class TestAccept:
         assert not store.accept(*held(frag()), now=0.0)
         assert store.accept(*held(frag(index=1, wire_size=300)), now=0.0)
 
+    def test_one_owner_may_fill_the_quota(self):
+        store = ReplicaStore("p", 1000)
+        assert store.accept(*held(frag("a", wire_size=600), "hog"), now=0.0)
+        assert store.accept(*held(frag("b", wire_size=400), "hog"), now=0.0)
+        assert not store.accept(*held(frag("c", wire_size=100), "other"), now=0.0)
+        assert store.used_bytes == store.quota_bytes
+
     def test_payload_of_the_wrong_length_is_a_usage_error(self):
         store = ReplicaStore("p", 1000)
         with pytest.raises(UsageError):
@@ -95,8 +102,10 @@ class TestAccept:
         assert replica.size_bytes == store.used_bytes == fragment_wire_size(10, 1) == 61
 
 
-class TestFreeBytes:
-    def test_accept_admits_exactly_the_free_space(self):
+class TestRoomFor:
+    """The room a peer offers a fragment: its free space after a purge."""
+
+    def test_accept_admits_exactly_the_room(self):
         store = ReplicaStore("p", 1000)
         store.accept(*held(frag("a", wire_size=300), "hog"), now=0.0)
         store.accept(*held(frag("b", wire_size=200), "other"), now=0.0)

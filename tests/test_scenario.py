@@ -89,6 +89,7 @@ class TestStrictParsing:
             ("workload", "lifetime_s"),
             ("terminals", "true_retrieval"),
             ("mobility", "bandwidth_bytes_per_s"),
+            ("failures", "rate_per_hour"),
         ],
     )
     def test_non_finite_numbers_are_rejected(self, tmp_path, section, field, value):
@@ -111,6 +112,7 @@ class TestStrictParsing:
             ("workload", "lifetime_s"),
             ("terminals", "true_retrieval"),
             ("infrastructure", "window_duration_mean_s"),
+            ("failures", "rate_per_hour"),
         ],
     )
     def test_non_finite_numbers_from_python_are_rejected(self, section, field, value):
