@@ -4,9 +4,10 @@ Every other layer builds on the types here: an owner's data is a set of
 versioned items connected by temporal dependency edges, each version is
 backed up on its own under an (n, k) fragmentation plan, and a
 ``VersionIndex`` tracks which versions have reached the server, which
-answers pinning. The index owns every dependency closure: it walks a
-version's dependencies once, when the version registers, and every
-later question (closures, dependents, pinning) reads what it stored.
+answers pinning. The index owns every dependency closure: a version's
+closure, fixed when it registers, is the union of its dependencies'
+stored closures, and every later question (closures, dependents,
+pinning) reads what it stored; nothing walks the graph.
 Which peers hold a version is the peers' own record; a conflict check is
 handed it.
 """
@@ -15,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Mapping, Optional, TypeVar
+from typing import Iterable, Mapping, Optional
 
 VersionKey = tuple[str, int]
-Node = TypeVar("Node", bound=Hashable)
 
 
 class UsageError(ValueError):
@@ -131,7 +131,7 @@ class VersionIndex:
     Registration order doubles as creation order: a version may only
     depend on versions that are already present, which keeps the
     dependency graph acyclic by construction, and fixes each version's
-    dependency closure: `register` walks it once and stores it.
+    closure: `register` stores the union of its dependencies' closures.
     """
 
     def __init__(self) -> None:
@@ -154,13 +154,14 @@ class VersionIndex:
             raise UsageError(
                 f"version {item.version} of {item.id!r} does not increase on {versions[-1]}"
             )
+        ancestors: set[VersionKey] = set()
         for dep in item.temporal_deps:
             if dep not in self._items:
                 raise IntegrityError(f"dependency {dep} of {key} is not registered")
+            ancestors.update(self._closures.get(dep, (dep,)))
         self._items[key] = item
         self._versions.setdefault(item.id, []).append(item.version)
-        if item.temporal_deps:
-            ancestors = reachable(item.temporal_deps, self._deps_of)
+        if ancestors:
             self._closures[key] = tuple(sorted(ancestors | {key}))
             for ancestor in ancestors:
                 self._dependents.setdefault(ancestor, set()).add(key)
@@ -211,9 +212,6 @@ class VersionIndex:
 
     # -- dependency queries --------------------------------------------
 
-    def _deps_of(self, key: VersionKey) -> tuple[VersionKey, ...]:
-        return self._items[key].temporal_deps
-
     def closure_of(self, key: VersionKey) -> tuple[VersionKey, ...]:
         """`key` and every version it depends on, sorted; stored at `register`."""
         closure = self._closures.get(key)
@@ -262,24 +260,6 @@ class VersionIndex:
                           tuple(holders.get((item_id, v), ())))
             for v in self.versions_of(item_id)
         ]
-
-
-def reachable(roots: Iterable[Node], step: Callable[[Node], Iterable[Node]]) -> set[Node]:
-    """Every node reachable from `roots` along `step` edges, roots included.
-
-    `VersionIndex.register` walks a new version's dependencies with it
-    once; a peer's dependent bulk walks its own edges. The result is a
-    set: callers sort or sum it.
-    """
-    seen: set[Node] = set()
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(step(node))
-    return seen
 
 
 def propagate_priority(

@@ -5,7 +5,7 @@ or the run of one owner's item that a notice names.
 A peer grants the backup service a fixed byte quota, shared among owners:
 a fragment is admitted only into the space left free by the last purge of
 replicas that expired or were flagged useless. Under pressure, live replicas
-go in order of one unweighted score: oldest/over-provisioned/bulkiest first,
+go in order of one unweighted score: oldest/over-provisioned/largest first,
 but never while a replica is pinned (an old version still protecting a
 newer one that has not reached the server). A replica is held under its
 owner, item id, version and fragment index as sent, and keeps its owner's
@@ -22,7 +22,7 @@ from itertools import islice
 from typing import Callable, Optional
 
 from .dispersal import chunk_size, fragment_wire_size
-from .model import DataItem, Fragment, UsageError, VersionKey, reachable
+from .model import DataItem, Fragment, UsageError
 
 ReplicaKey = tuple[str, str, int, int]  # (owner, item id, version, fragment index)
 
@@ -212,11 +212,12 @@ class ReplicaStore:
         the free space, the one admission rule. Admission uses the space
         left by the last purge: it does not purge itself, so callers read
         `free_bytes(now)` first, as the save loop does. A fragment is charged
-        its `fragment_wire_size`. It must be one of `item`'s own, and its
-        payload, if any, must be one chunk long: else UsageError.
+        its `fragment_wire_size`. It must match `item`'s key, n, k and size,
+        and a payload must be one chunk long: else UsageError.
         """
-        if fragment.key != item.key:
-            raise UsageError(f"fragment of {fragment.key} paired with item {item.key}")
+        plan = (fragment.key, fragment.n, fragment.k, fragment.original_size)
+        if plan != (item.key, item.n, item.k, item.size_bytes):
+            raise UsageError(f"fragment (key, n, k, size) {plan} is not one of {item}")
         chunk = chunk_size(fragment.original_size, fragment.k)
         if fragment.payload is not None and len(fragment.payload) != chunk:
             raise UsageError(f"payload of {len(fragment.payload)} B, chunk size is {chunk}")
@@ -265,33 +266,15 @@ class ReplicaStore:
 
     # -- eviction ---------------------------------------------------------
 
-    def _dependency_bulk(self, targets: list[Replica]) -> list[int]:
-        """Bytes of co-held same-owner replicas transitively depending on each target.
-
-        Edges and sizes per (owner, version) are built once for all targets.
-        """
-        edges: dict[tuple[str, VersionKey], set[tuple[str, VersionKey]]] = {}
-        sizes: dict[tuple[str, VersionKey], int] = {}
-        for replica in self._replicas.values():
-            node = (replica.item.owner, replica.fragment.key)
-            sizes[node] = sizes.get(node, 0) + replica.size_bytes
-            for dep in replica.item.temporal_deps:
-                edges.setdefault((node[0], dep), set()).add(node)
-        bulk: dict[tuple[str, VersionKey], int] = {}
-        for node in {(r.item.owner, r.fragment.key) for r in targets}:
-            dependents = reachable(edges.get(node, ()), lambda n: edges.get(n, ()))
-            bulk[node] = sum(sizes[d] for d in dependents)
-        return [bulk[(r.item.owner, r.fragment.key)] for r in targets]
-
     def evict(self, needed_bytes: int, now: float) -> list[ReplicaKey]:
         """Free at least `needed_bytes`, cheapest casualties first.
 
         Purges first; live replicas then go in order of the plain sum of
-        normalized age, resilience overshoot above declared priority,
-        and normalized size including dependent bulk, grouping equal
-        scores by owner. Pinned replicas are untouchable; if the sweep
-        still falls short, the partial deletions stand and
-        `EvictionShortfall` is raised.
+        normalized age, resilience overshoot above declared priority, and
+        normalized size, grouping equal scores by owner. Dependencies are
+        the pin check's: a pinned replica is untouchable, and no other
+        term reads them. If the sweep still falls short, the partial
+        deletions stand and `EvictionShortfall` is raised.
         """
         if needed_bytes <= 0:
             raise UsageError(f"needed_bytes must be > 0, got {needed_bytes}")
@@ -304,11 +287,10 @@ class ReplicaStore:
             if r.state is ReplicaState.LIVE and not self._pinned(r)
         ]
         ages = _minmax([now - r.received_at for r in candidates])
-        dependent_bytes = self._dependency_bulk(candidates)
-        bulks = _minmax([r.size_bytes + b for r, b in zip(candidates, dependent_bytes)])
+        sizes = _minmax([r.size_bytes for r in candidates])
         scored = []
-        for replica, age, bulk in zip(candidates, ages, bulks):
-            score = age + max(0.0, replica.declared_success - replica.item.priority) + bulk
+        for replica, age, size in zip(candidates, ages, sizes):
+            score = age + max(0.0, replica.declared_success - replica.item.priority) + size
             scored.append((-score, replica.item.owner, replica.key))
         for _, _, key in sorted(scored):
             if key not in self._replicas:

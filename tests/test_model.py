@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from oppbak import model as model_module
 from oppbak.model import (
     ConflictReport,
     DataItem,
@@ -18,15 +17,14 @@ from oppbak.model import (
     propagate_priority,
 )
 from oppbak.peer import Replica
-from oppbak.reliability import ChannelEstimate, ReliabilityTable, composite_success
-from oppbak.scheduler import BackupQueue, SaveOutcome
+from oppbak.reliability import ChannelEstimate, ReliabilityTable
+from oppbak.scheduler import SaveOutcome
 from oppbak.sim import (
     DataProducedEvent,
     EncounterEvent,
     InternetWindowEvent,
     RestoreAttemptEvent,
     TerminalFailureEvent,
-    _Tables,
 )
 
 from conftest import brute_closure, held, make_fragment, make_item
@@ -144,6 +142,19 @@ class TestVersionIndex:
         with pytest.raises(IntegrityError):
             index.register(make_item(deps=(("ghost", 1),)))
 
+    def test_refused_registration_changes_nothing(self, index: VersionIndex):
+        index.register(make_item("base"))
+        # a registered dependency first, then one never registered or the version itself
+        for deps in ((("base", 1), ("ghost", 1)), (("base", 1), ("a", 1))):
+            with pytest.raises(IntegrityError):
+                index.register(make_item("a", deps=deps))
+        assert ("a", 1) not in index and len(index) == 1
+        assert not index.has_dependents(("base", 1))
+        with pytest.raises(UnknownItemError):
+            index.versions_of("a")
+        index.register(make_item("a", deps=(("base", 1),)))
+        assert index.closure_of(("a", 1)) == (("a", 1), ("base", 1))
+
     def test_acyclic_after_random_growth(self, index: VersionIndex, rng: random.Random):
         keys = []
         for i in range(60):
@@ -222,27 +233,6 @@ class TestDependencyWalk:
             edges = self._random_dag(index, rng)
             roots = rng.sample(list(edges), k=rng.randrange(1, 4))
             assert index.dependency_closure(roots) == brute_closure(edges, roots)
-
-    def test_no_walk_after_registration(self, monkeypatch, rng: random.Random):
-        walks = []
-        walk = model_module.reachable
-        monkeypatch.setattr(model_module, "reachable",
-                            lambda *args: walks.append(args) or walk(*args))
-        index = VersionIndex()
-        edges = self._random_dag(index, rng)
-        assert len(walks) == sum(1 for deps in edges.values() if deps)
-        walks.clear()
-        keys = list(edges)
-        tables = {key: ReliabilityTable.fresh(1).add_fragment(0.5) for key in keys}
-        notices = _Tables(index, {"t00": BackupQueue()})
-        for key in keys[::3]:
-            index.mark_on_server(key)
-        for key in keys:
-            composite_success(index.get(key), tables, index)
-            index.pinned(key)
-            index.transitive_dependents(key)
-            notices.notice_dependents(key)
-        assert walks == []
 
     def test_deps_and_dependents_are_converse(self, rng: random.Random):
         # after every register: the stored closures and dependents grow with the graph

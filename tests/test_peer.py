@@ -5,7 +5,7 @@ import pytest
 
 import oppbak.peer
 from oppbak.dispersal import HEADER_SIZE, fragment_wire_size
-from oppbak.model import Fragment, UsageError
+from oppbak.model import DataItem, Fragment, UsageError
 from oppbak.peer import (
     EvictionShortfall,
     NoticeSource,
@@ -13,7 +13,7 @@ from oppbak.peer import (
     ReplicaStore,
 )
 
-from conftest import held, make_fragment
+from conftest import held, make_fragment, make_item
 
 
 def frag(item_id="a", version=1, index=0, wire_size=300, payload=None, n=None):
@@ -69,8 +69,34 @@ class TestAccept:
             store.accept(frag("a", version=1), item, declared, now=0.0)
         with pytest.raises(UsageError):
             store.accept(frag("b", version=2), item, declared, now=0.0)
+        # same key, another plan: n, k or size differ from what the owner describes
+        _, planned, _ = held(make_fragment(n=4, k=2, original_size=200))
+        for other in (Fragment("a", 1, 3, 5, 2, 200), Fragment("a", 1, 3, 4, 3, 200),
+                      Fragment("a", 1, 3, 4, 2, 201)):
+            with pytest.raises(UsageError):
+                store.accept(other, planned, declared, now=0.0)
+        tiny = DataItem(id="a", owner="t00", size_bytes=10, priority=0.5)  # n=1, k=1
+        with pytest.raises(UsageError):
+            store.accept(Fragment("a", 1, 3, 4, 2, 1000), tiny, 0.5, now=0.0)
         assert len(store) == 0
         assert store.accept(fragment, item, declared, now=0.0).item is item
+
+    def test_admits_only_the_items_own_plan(self, rng: random.Random):
+        # fragment and item plans (n, k, size) drawn apart: a pair that differs
+        # raises, a pair that agrees is charged the item's wire size
+        plans = [(n, k, size) for n in (1, 2) for k in (1, 2) if k <= n for size in (10, 11)]
+        store = ReplicaStore("p", 10**6)
+        for version in range(1, 101):
+            (fn, fk, fsize), (n, k, size) = rng.choice(plans), rng.choice(plans)
+            fragment = Fragment("a", version, 0, fn, fk, fsize)
+            item = make_item("a", size=size, n=n, k=k, version=version)
+            if (fn, fk, fsize) != (n, k, size):
+                with pytest.raises(UsageError):
+                    store.accept(fragment, item, 0.5, now=0.0)
+            else:
+                replica = store.accept(fragment, item, 0.5, now=0.0)
+                assert replica.size_bytes == fragment_wire_size(size, k)
+        assert store.used_bytes == store.recomputed_used_bytes() > 0
 
     def test_refusals_return_none(self):
         store = ReplicaStore("p", 1000)
@@ -275,92 +301,78 @@ class TestEvict:
         deleted = store.evict(300, now=10.0)
         assert deleted == [("t00", "huge", 1, 0)]
 
-    def test_dependency_bulk_counts(self):
-        store = ReplicaStore("p", 900)  # equal ages, declared == priority
+    def test_held_dependents_add_no_bulk(self):
+        store = ReplicaStore("p", 900)  # equal ages and sizes, declared == priority
         store.accept(*held(frag("root", wire_size=300)), now=0.0)
         store.accept(
             *held(frag("leaf", wire_size=300), temporal_deps=(("root", 1),)),
             now=0.0,
         )
         store.accept(*held(frag("solo", wire_size=300)), now=0.0)
-        # root alone is 300 bytes but drags 300 more of dependent bulk
-        deleted = store.evict(100, now=10.0)
-        assert deleted == [("t00", "root", 1, 0)]
-        # diamond: top reaches base over two paths and still counts once
-        diamond = ReplicaStore("q", 1200)
-        diamond.accept(*held(frag("base", wire_size=300)), now=0.0)
-        for side in ("left", "right"):
-            diamond.accept(
-                *held(frag(side, wire_size=300), temporal_deps=(("base", 1),)), now=0.0
-            )
-        diamond.accept(
-            *held(frag("top", wire_size=300), temporal_deps=(("left", 1), ("right", 1))),
-            now=0.0,
-        )
-        assert diamond._dependency_bulk([diamond.get(("t00", "base", 1, 0))]) == [900]
-
-    def test_dependency_bulk_stays_within_owner(self):
-        store = ReplicaStore("p", 10**6)
-        for owner, size in (("t00", 300), ("t01", 500)):  # same item ids, own deps
-            store.accept(*held(frag("log", wire_size=size), owner=owner), now=0.0)
-            store.accept(
-                *held(frag("view", wire_size=size), owner=owner, temporal_deps=(("log", 1),)),
-                now=0.0,
-            )
-        logs = [store.get((owner, "log", 1, 0)) for owner in ("t00", "t01")]
-        assert store._dependency_bulk(logs) == [300, 500]
+        # every score ties, so key order decides: root's held dependent adds nothing
+        assert store.evict(100, now=10.0) == [("t00", "leaf", 1, 0)]
 
     def test_rank_matches_formula_oracle(self, rng: random.Random):
+        """The dependency-free score orders a store of independent rows, and
+        one whose rows depend on earlier rows, including a@1 and a@3 held
+        while a@2 is not (a@3 depends on a@2, and a@2 on a@1)."""
         now = 1000.0
-        rows = []
-        for i in range(20):
-            received = rng.uniform(0.0, now)
-            priority = rng.random()
-            declared = rng.random()
+
+        def draw(item_id, version=1, deps=()):
             size = rng.randrange(100, 1000) + HEADER_SIZE
-            rows.append((f"i{i}", received, priority, declared, size))
-        total = sum(r[4] for r in rows)
-        store = ReplicaStore("p", total)
-        for item_id, received, priority, declared, size in rows:
-            assert store.accept(
-                *held(frag(item_id, wire_size=size), priority=priority, declared=declared),
-                now=received,
-            )
-        ages = [now - r[1] for r in rows]
-        sizes = [r[4] for r in rows]
+            return (item_id, version, rng.uniform(0.0, now), rng.random(), rng.random(),
+                    size, deps)
+
+        plain = [draw(f"i{i}") for i in range(20)]
+        linked = []
+        for i in range(20):
+            earlier = rng.sample(range(i), k=min(i, rng.randrange(3)))
+            linked.append(draw(f"i{i}", deps=tuple((f"i{j}", 1) for j in earlier)))
+        linked += [draw("a", 1), draw("a", 3, deps=(("a", 2),))]
 
         def norm(value, population):
             lo, hi = min(population), max(population)
             return 0.0 if hi == lo else (value - lo) / (hi - lo)
 
-        oracle = sorted(
-            rows,
-            key=lambda r: (
-                -(norm(now - r[1], ages) + max(0.0, r[3] - r[2]) + norm(r[4], sizes)),
-                "t00",
-                ("t00", r[0], 1, 0),
-            ),
-        )
-        deleted = store.evict(total, now=now)  # must clear the whole store
-        assert deleted == [("t00", r[0], 1, 0) for r in oracle]
+        for rows in (plain, linked):
+            total = sum(r[5] for r in rows)
+            store = ReplicaStore("p", total)
+            for item_id, version, received, priority, declared, size, deps in rows:
+                assert store.accept(
+                    *held(frag(item_id, version=version, wire_size=size), priority=priority,
+                          declared=declared, temporal_deps=deps),
+                    now=received,
+                )
+            ages = [now - r[2] for r in rows]
+            sizes = [r[5] for r in rows]
+            oracle = sorted(
+                rows,
+                key=lambda r: (
+                    -(norm(now - r[2], ages) + max(0.0, r[4] - r[3]) + norm(r[5], sizes)),
+                    "t00",
+                    ("t00", r[0], r[1], 0),
+                ),
+            )
+            deleted = store.evict(total, now=now)  # must clear the whole store
+            assert deleted == [("t00", r[0], r[1], 0) for r in oracle]
 
     @pytest.mark.parametrize(
-        "leader, rival", list(itertools.permutations(("age", "overshoot", "bulk"), 2))
+        "leader, rival", list(itertools.permutations(("age", "overshoot", "size"), 2))
     )
     def test_larger_lead_wins_across_criteria(self, leader, rival):
         # x leads y by 0.6 on `leader`, y leads x by 0.5 on `rival`, the third
         # criterion ties, and z scores 0 on all three. z sets the minimum of
-        # normalized age and bulk, so leads on them are fractions of the range.
+        # normalized age and size, so leads on them are fractions of the range.
         # At equal weights x goes first; once the leader's weight falls below
         # five sixths of the rival's, y does.
-        terms = {name: dict.fromkeys(("age", "overshoot", "bulk"), 0.0) for name in "xyz"}
-        normalized = {"age", "bulk"}
+        terms = {name: dict.fromkeys(("age", "overshoot", "size"), 0.0) for name in "xyz"}
+        normalized = {"age", "size"}
         terms["y"][leader] = 0.4 if leader in normalized else 0.0
         terms["x"][leader] = terms["y"][leader] + 0.6
         terms["x"][rival] = 0.5 if rival in normalized else 0.0
         terms["y"][rival] = terms["x"][rival] + 0.5
         now = 1000.0
-        sizes = {name: 200 + round(100 * t["bulk"]) for name, t in terms.items()}
+        sizes = {name: 200 + round(100 * t["size"]) for name, t in terms.items()}
         store = ReplicaStore("p", sum(sizes.values()))
         for name, t in terms.items():
             assert store.accept(
