@@ -6,7 +6,6 @@
 # Run: python demos/03_meeting_scheduler.py
 
 from oppbak import (
-    ChannelEstimate,
     DataItem,
     LinkSession,
     Scheduler,
@@ -19,7 +18,7 @@ from oppbak import (
 class Peer:
     def __init__(self, name, p, quota):
         self.terminal_id = name
-        self.channel = ChannelEstimate(p)
+        self.channel = p
         self.quota = quota
 
     def free_bytes(self):

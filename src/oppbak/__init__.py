@@ -37,7 +37,6 @@ from .peer import (
     ReplicaStore,
 )
 from .reliability import (
-    ChannelEstimate,
     ReliabilityTable,
     composite_success,
     new_table,
@@ -71,7 +70,6 @@ __all__ = [
     "BackupQueue",
     "BatchReport",
     "CalibrationResult",
-    "ChannelEstimate",
     "ConflictReport",
     "ConfigError",
     "DataItem",

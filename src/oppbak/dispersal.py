@@ -278,8 +278,6 @@ def reconstruct(fragments: Iterable[Fragment]) -> bytes:
             raise FragmentMismatch(
                 f"fragment {f.index} headers disagree with fragment {ref.index}"
             )
-        if f.index >= ref.n:
-            raise FragmentMismatch(f"fragment index {f.index} outside n={ref.n}")
         if f.payload is None:
             raise UsageError(f"fragment {f.index} carries no payload bytes")
     k = ref.k

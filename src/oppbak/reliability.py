@@ -17,7 +17,7 @@ fragments exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import TYPE_CHECKING, Mapping
 
 from .model import IntegrityError, UsageError, VersionKey
 
@@ -25,22 +25,8 @@ if TYPE_CHECKING:
     from .model import DataItem, VersionIndex
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelEstimate:
-    """Probability that a fragment saved on a terminal now is retrievable later."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise UsageError(f"channel probability must be in [0, 1], got {self.p}")
-
-
-ProbLike = Union[float, ChannelEstimate]
-
-
-def _prob(c: ProbLike) -> float:
-    p = c.p if isinstance(c, ChannelEstimate) else float(c)
+def _prob(c: float) -> float:
+    p = float(c)
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"probability must be in [0, 1], got {p}")
     return p
@@ -72,11 +58,11 @@ class ReliabilityTable:
             raise UsageError(f"reconstruction threshold k must be >= 1, got {k}")
         return cls(k=k, table=(1.0,) + (0.0,) * k, fragments_saved=0)
 
-    def add_fragment(self, c: ProbLike) -> "ReliabilityTable":
+    def add_fragment(self, c: float) -> "ReliabilityTable":
         """Fold in one fragment saved on its own independent channel."""
         return self.add_batch_same_terminal(c, 1)
 
-    def add_batch_same_terminal(self, c: ProbLike, m: int) -> "ReliabilityTable":
+    def add_batch_same_terminal(self, c: float, m: int) -> "ReliabilityTable":
         """Fold in m fragments that share one terminal and one session.
 
         All m are retrieved together or lost together. m=1 is exactly

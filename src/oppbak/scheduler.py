@@ -20,17 +20,19 @@ from typing import Callable, MutableMapping, Optional, Protocol
 
 from .dispersal import fragment_wire_size
 from .model import DataItem, Fragment, UsageError, VersionIndex, VersionKey
-from .reliability import ChannelEstimate, ReliabilityTable
+from .reliability import ReliabilityTable
 
 
 class TerminalHandle(Protocol):
-    """What the save loop needs from an encountered terminal: `free_bytes()`,
-    the space its store admits into after a purge, and `save`, which stores
-    any fragment that fits. Within one meeting only `save` changes `free_bytes`.
+    """What the save loop needs from an encountered terminal: `channel`, the
+    probability in [0, 1] that a fragment saved there now is retrievable
+    later, `free_bytes()`, the space its store admits into after a purge, and
+    `save`, which stores any fragment that fits. Within one meeting only
+    `save` changes `free_bytes`.
     """
 
     terminal_id: str
-    channel: ChannelEstimate
+    channel: float
 
     def free_bytes(self) -> int: ...
 

@@ -34,14 +34,14 @@ first fragment of a version, and goes when the replica does.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Union
 
 from .dispersal import FragmentSet, chunk_size, reconstruct, split
 from .model import (
@@ -56,7 +56,7 @@ from .model import (
     propagate_priority,
 )
 from .peer import NoticeSource, Replica, ReplicaState, ReplicaStore
-from .reliability import ChannelEstimate, ReliabilityTable, composite_success
+from .reliability import ReliabilityTable, composite_success
 # not called here: benchmarks/spans.py counts calls under the name oppbak.sim.config_from_dict
 from .scenario import ConfigError, ScenarioConfig, config_from_dict  # noqa: F401
 from .scheduler import BackupQueue, LinkSession, Scheduler
@@ -65,7 +65,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 TraceSink = Callable[[str], None]
-# version -> live holder -> its replicas of it; `Simulation._placement` reads some owners' or all
+# version -> live holder -> its replicas of it, for the owners `Simulation._placement` is given
 Placement = dict[VersionKey, dict[str, list[Replica]]]
 
 OUTCOME_SAFE = "safe_on_server"
@@ -444,7 +444,7 @@ class Simulation:
         queues = {owner: BackupQueue() for owner in self.producers}
         self.tables = _Tables(self.index, queues)
         self.fragment_sets: dict[VersionKey, FragmentSet] = {}
-        self.owned_ids: dict[str, list[str]] = {t: [] for t in self.producers}
+        self.owned_ids: dict[str, dict[str, None]] = {t: {} for t in self.producers}  # ordered sets
         # uploaded fragments of each partly uploaded version; nothing reads a served one's
         self.server_fragments: dict[VersionKey, dict[int, Fragment]] = {}
         self.bytes_to_peers = 0
@@ -456,10 +456,8 @@ class Simulation:
         self.now = 0.0
         self._channels = _stream(config.seed, "channels")
 
-        estimate = config.terminals.base_reliability
-        self.channel_estimate = ChannelEstimate(estimate)
         true_p = config.terminals.true_retrieval
-        self.true_retrieval = estimate if true_p is None else true_p
+        self.true_retrieval = config.terminals.base_reliability if true_p is None else true_p
 
         self.stores: dict[str, ReplicaStore] = {}
         for terminal in self.names:
@@ -519,16 +517,6 @@ class Simulation:
             self._trace("DELETE", terminal=terminal, item=key, frag=index, reason=reason)
         return hook
 
-    def _record_save(self, peer: str, key: VersionKey, replica: Replica,
-                     fates: dict[VersionKey, bool]) -> None:
-        """Book a replica of `key` as `peer`'s store accepts it; `fates`: the session's draws."""
-        index, size = replica.fragment.index, replica.size_bytes
-        if key not in fates:
-            fates[key] = self._channels.random() < self.true_retrieval
-        replica.fate = fates[key]
-        self.bytes_to_peers += size
-        self._trace("SAVE", size, from_=replica.item.owner, to=peer, item=key, frag=index)
-
     def _record_occupancy(self, terminal: str) -> None:
         points = self.occupancy[terminal]
         used = self.stores[terminal].used_bytes
@@ -557,8 +545,7 @@ class Simulation:
         if not self.alive[owner]:
             return
         item = event.item  # `process` registered it
-        if item.version == 1:
-            self.owned_ids[owner].append(item.id)
+        self.owned_ids[owner][item.id] = None
         raised = propagate_priority(self.index, item)
         self.tables[item.key] = ReliabilityTable.fresh(item.k)
         self.schedulers[owner].enqueue(item, self.success_of(item.key))
@@ -696,22 +683,21 @@ class Simulation:
 
     # -- restorability ----------------------------------------------------
 
-    def _current_items(self, item_ids: list[str]) -> list[DataItem]:
+    def _current_items(self, item_ids: Iterable[str]) -> list[DataItem]:
         """Latest version of each item, less expired ones: what restores and losses count."""
         items = (self.index.get((i, self.index.latest_version(i))) for i in item_ids)
         return [item for item in items if not item.expired(self.now)]
 
-    def _placement(self, owners: Optional[list[str]] = None) -> Placement:
-        """Replicas on live peers per version: the listed owners', through each store's
-        per-owner query, or else every replica. Holders come in name order, each
-        one's replicas in index order, whatever the set order."""
+    def _placement(self, owners: list[str]) -> Placement:
+        """Replicas on live peers per version, of the listed owners, through each
+        store's per-owner query. Holders come in name order, each one's replicas
+        in index order, whatever the set order. Every replica's owner is a producer
+        and producers sort as store keys do, so given them all, it is `replicas()`."""
         view: Placement = {}
         for terminal in self.names:
             if self.alive[terminal]:
                 store = self.stores[terminal]
-                held = store.replicas() if owners is None else [
-                    replica for owner in owners for replica in store.replicas_of(owner)]
-                for replica in held:
+                for replica in (r for owner in owners for r in store.replicas_of(owner)):
                     holders = view.setdefault(replica.fragment.key, {})
                     holders.setdefault(terminal, []).append(replica)
         return view
@@ -834,20 +820,19 @@ class Simulation:
         """Process the generated timeline, then `finish` the run.
 
         The sorted timeline is walked in order, each event dropped as it goes.
-        Only follow-ups (restore attempts) wait in a heap; one runs before the
-        next timeline event only if it is strictly earlier.
+        Only follow-ups (restore attempts) wait, in a FIFO; one runs before the
+        next timeline event only if it is strictly earlier. A FIFO is in time
+        order: only failures have follow-ups, each due `restore_delay_s` after
+        its failure, and events run in time order.
         """
         timeline = generate_events(self.config)[::-1]  # pop() from the end: time order
-        heap: list[tuple[float, int, Event]] = []
-        seq = 0
-        while timeline or heap:
-            if heap and (not timeline or heap[0][0] < timeline[-1].time):
-                event = heapq.heappop(heap)[2]
+        follow_ups: deque[Event] = deque()
+        while timeline or follow_ups:
+            if follow_ups and (not timeline or follow_ups[0].time < timeline[-1].time):
+                event = follow_ups.popleft()
             else:
                 event = timeline.pop()
-            for follow_up in self.process(event):
-                heapq.heappush(heap, (follow_up.time, seq, follow_up))
-                seq += 1
+            follow_ups.extend(self.process(event))
         return self.finish()
 
     def finish(self) -> MetricsReport:
@@ -865,7 +850,7 @@ class Simulation:
         """
         self.now = self.config.horizon_s
         memo: dict[VersionKey, bool] = {}
-        placement = self._placement()
+        placement = self._placement(self.producers)
         self.stores.clear()
         self.schedulers.clear()
         outcomes: dict[str, str] = {}
@@ -922,18 +907,23 @@ class _PeerTerminal:
     def __init__(self, sim: Simulation, terminal_id: str) -> None:
         self._sim = sim
         self.terminal_id = terminal_id
-        self.channel = sim.channel_estimate
+        self.channel = sim.config.terminals.base_reliability
         self._fates: dict[VersionKey, bool] = {}  # the session's fate draw per version
 
     def free_bytes(self) -> int:
         return self._sim.stores[self.terminal_id].free_bytes(self._sim.now)
 
     def save(self, fragment, item: DataItem, declared_success: float) -> None:
-        store = self._sim.stores[self.terminal_id]
-        replica = store.accept(fragment, item, declared_success, self._sim.now)
+        sim, key = self._sim, item.key
+        replica = sim.stores[self.terminal_id].accept(fragment, item, declared_success, sim.now)
         if replica is None:
-            raise IntegrityError(f"{self.terminal_id} refused a fitting fragment of {item.key}")
-        self._sim._record_save(self.terminal_id, item.key, replica, self._fates)
+            raise IntegrityError(f"{self.terminal_id} refused a fitting fragment of {key}")
+        if key not in self._fates:  # drawn at the session's first accepted fragment of it
+            self._fates[key] = sim._channels.random() < sim.true_retrieval
+        replica.fate = self._fates[key]
+        sim.bytes_to_peers += replica.size_bytes
+        sim._trace("SAVE", replica.size_bytes, from_=item.owner, to=self.terminal_id, item=key,
+                   frag=fragment.index)
 
 
 def run(config: ScenarioConfig, trace: Optional[TraceSink] = None) -> MetricsReport:

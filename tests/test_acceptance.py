@@ -129,9 +129,7 @@ def test_c03_codec_completeness():
 class _Terminal:
     def __init__(self, p: float, quota: int = 10**9):
         self.terminal_id = "peer"
-        from oppbak.reliability import ChannelEstimate
-
-        self.channel = ChannelEstimate(p)
+        self.channel = p
         self.quota = quota
 
     def free_bytes(self):

@@ -8,11 +8,15 @@ backup peers. One test per (payload mode, failure targets) cell checks
 every invariant after every event; one test per run identity checks it
 on plain runs; and two relations compare the runs of two related
 configs, which must agree byte for byte: R1, payload mode on and off,
-and R3, a quota that is never pressed and ten times that quota.
+and R3, a quota that is never pressed and ten times that quota. `run`'s
+FIFO of follow-ups is checked against a (time, seq) heap driver, on drawn
+configs and on one scripted timeline, and the placement `finish` reads
+against every live replica.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 from unittest import mock
 
@@ -20,10 +24,18 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from oppbak import sim as sim_module
 from oppbak.dispersal import fragment_wire_size
+from oppbak.model import DataItem
 from oppbak.peer import ReplicaStore
 from oppbak.scenario import config_from_dict
-from oppbak.sim import Simulation
+from oppbak.sim import (
+    DataProducedEvent,
+    EncounterEvent,
+    InternetWindowEvent,
+    Simulation,
+    TerminalFailureEvent,
+)
 
 from invariants import CheckedSimulation, traced_simulation
 from test_golden import TRACE_LINE
@@ -84,6 +96,25 @@ def traced_run(doc):
     lines = []
     sim = Simulation(config_from_dict(doc), trace=lines.append)
     return sim, sim.run(), lines
+
+
+def heap_driven_run(doc):
+    """`traced_run`'s report and trace lines, driven with the follow-ups in a
+    (time, seq) heap: a follow-up runs before the next timeline event only if
+    it is strictly earlier, and equal times run in creation order."""
+    lines = []
+    sim = Simulation(config_from_dict(doc), trace=lines.append)
+    timeline = sim_module.generate_events(sim.config)[::-1]  # patchable, as `run` reads it
+    heap, seq = [], 0
+    while timeline or heap:
+        if heap and (not timeline or heap[0][0] < timeline[-1].time):
+            event = heapq.heappop(heap)[2]
+        else:
+            event = timeline.pop()
+        for follow_up in sim.process(event):
+            heapq.heappush(heap, (follow_up.time, seq, follow_up))
+            seq += 1
+    return sim.finish(), lines
 
 
 def line_bytes(lines):
@@ -187,3 +218,78 @@ def test_a_slack_quota_decides_nothing(doc):
     _, slack, slack_lines = traced_run(slack_doc)
     assert slack.json_bytes() == report.json_bytes()
     assert slack_lines == lines
+
+
+@drawn
+@given(doc=scenarios())
+def test_the_producers_placement_is_every_live_replica(doc):
+    """The placement `finish` reads, its last, is in order the view built
+    from each live store's whole key list."""
+    placement, views = Simulation._placement, []
+
+    def spy(sim, owners):
+        expected = {}
+        for terminal in (t for t in sim.names if sim.alive[t]):
+            for replica in sim.stores[terminal].replicas():
+                holders = expected.setdefault(replica.fragment.key, {})
+                holders.setdefault(terminal, []).append(replica)
+        views.append((placement(sim, owners), expected))
+        return views[-1][0]
+
+    def shape(view):
+        return [(key, [(t, list(map(id, held))) for t, held in holders.items()])
+                for key, holders in view.items()]
+
+    with mock.patch.object(Simulation, "_placement", spy):
+        traced_run(doc)
+    view, expected = views[-1]
+    assert shape(view) == shape(expected)
+
+
+@drawn
+@given(doc=scenarios())
+def test_fifo_driver_equals_the_heap_driver(doc):
+    _, report, lines = traced_run(doc)
+    reference, reference_lines = heap_driven_run(doc)
+    assert report.json_bytes() == reference.json_bytes()
+    assert lines == reference_lines
+
+
+def test_same_instant_failures_restore_in_order_after_the_timeline():
+    """Two producers fail at t=100 with no restore delay, and t02's window at
+    t=100 comes after them: both drivers run the window, then t00's restore,
+    then t01's, so t00's item is restored from the server it just reached."""
+    doc = {
+        "seed": 1, "horizon_s": 3600.0, "payload_mode": False, "restore_delay_s": 0.0,
+        "terminals": {"count": 4, "producers": 2, "quota_bytes": 10**6,
+                      "base_reliability": 0.9, "true_retrieval": 1.0},
+        "workload": {"items_per_hour": 0.0},
+        "mobility": {"encounter_rate_per_hour": 0.0},
+        "infrastructure": {"window_rate_per_hour": 0.0},
+        "failures": {"rate_per_hour": 0.0},
+    }
+    items = [DataItem(id=f"{owner}/d0000", owner=owner, size_bytes=1000, priority=0.99, n=4, k=2)
+             for owner in ("t00", "t01")]
+    two_fragments = 2 * fragment_wire_size(1000, 2)
+    timeline = [
+        DataProducedEvent(1.0, "t00", items[0]),
+        DataProducedEvent(2.0, "t01", items[1]),
+        EncounterEvent(10.0, "t00", "t02", 1.0, two_fragments),
+        EncounterEvent(11.0, "t01", "t03", 1.0, two_fragments),
+        TerminalFailureEvent(100.0, "t00"),
+        TerminalFailureEvent(100.0, "t01"),
+        InternetWindowEvent(100.0, "t02", 1.0, 10**6),
+    ]
+    with mock.patch("oppbak.sim.generate_events", return_value=timeline):
+        _, report, lines = traced_run(doc)
+        reference, reference_lines = heap_driven_run(doc)
+    assert report.json_bytes() == reference.json_bytes()
+    assert lines == reference_lines
+    at_failure = [line.split(" ", 1)[1] for line in lines if line.startswith("100.000000 ")]
+    assert at_failure[:3] == ["FAIL terminal=t00 bytes=0", "FAIL terminal=t01 bytes=0",
+                              "WINDOW terminal=t02 bytes=1000000"]
+    assert at_failure[-2:] == [
+        "RESTORE owner=t00 item=t00/d0000@1 source=server bytes=0",
+        "RESTORE owner=t01 item=t01/d0000@1 source=peer bytes=0",
+    ]
+    assert report.calibration_episodes == ((0.9, 1), (0.9, 1))  # predicted at the failures

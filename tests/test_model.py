@@ -17,7 +17,7 @@ from oppbak.model import (
     propagate_priority,
 )
 from oppbak.peer import Replica
-from oppbak.reliability import ChannelEstimate, ReliabilityTable
+from oppbak.reliability import ReliabilityTable
 from oppbak.scheduler import SaveOutcome
 from oppbak.sim import (
     DataProducedEvent,
@@ -55,7 +55,6 @@ def _frozen_records() -> list:
         item,
         make_fragment("a", version=2),
         ReliabilityTable.fresh(2),
-        ChannelEstimate(0.9),
         SaveOutcome("a", 2, 0, 300, True),
         EncounterEvent(1.0, "t00", "t01", 2.0, 3.0),
         InternetWindowEvent(1.0, "t00", 2.0, 3.0),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oppbak.model import IntegrityError, UsageError, VersionIndex
-from oppbak.reliability import ChannelEstimate, composite_success, new_table
+from oppbak.reliability import composite_success, new_table
 
 from conftest import (
     brute_closure,
@@ -57,16 +57,11 @@ class TestAddFragment:
         assert after.table == before.table
         assert after.fragments_saved == before.fragments_saved + 1
 
-    def test_accepts_channel_estimate(self):
-        by_float = new_table(2).add_fragment(0.7)
-        by_estimate = new_table(2).add_fragment(ChannelEstimate(0.7))
-        assert by_float == by_estimate
-
     def test_out_of_range_rejected(self):
         with pytest.raises(UsageError):
             new_table(1).add_fragment(1.0001)
         with pytest.raises(UsageError):
-            ChannelEstimate(-0.1)
+            new_table(1).add_fragment(-0.1)
 
 
 class TestBatch:

@@ -4,7 +4,7 @@ import pytest
 
 from oppbak.dispersal import fragment_wire_size
 from oppbak.model import UsageError, VersionIndex
-from oppbak.reliability import ChannelEstimate, new_table
+from oppbak.reliability import new_table
 from oppbak.scheduler import (
     BackupQueue,
     LinkSession,
@@ -19,7 +19,7 @@ class FakeTerminal:
 
     def __init__(self, terminal_id="peer", p=0.7, quota=10**9):
         self.terminal_id = terminal_id
-        self.channel = ChannelEstimate(p)
+        self.channel = p
         self.quota = quota
         self.saved = []
         self.reads = 0

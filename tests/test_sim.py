@@ -111,6 +111,17 @@ class TestScriptedRuns:
         assert report.loss_ratio == 1.0
         assert report.calibration_episodes == ((0.0, 0),)
 
+    def test_an_item_first_produced_past_version_one_is_its_owners(self):
+        sim = Simulation(quiet_config())
+        produce(sim, 1.0, item_spec(version=3))
+        (restore,) = sim.process(TerminalFailureEvent(time=100.0, terminal="t00"))
+        assert sim.pending_restores == {"t00": [(("t00/d0000", 3), 0.0)]}
+        sim.process(restore)
+        report = sim.finish()
+        assert report.outcomes == {"t00/d0000@3": "lost"}
+        assert (report.items_measured, report.loss_ratio) == (1, 1.0)
+        assert report.calibration_episodes == ((0.0, 0),)
+
     def test_ample_window_before_failure_means_safe(self):
         sim = Simulation(quiet_config())
         produce(sim, 1.0, item_spec())
@@ -171,13 +182,13 @@ class TestScriptedRuns:
         meet(sim, 20.0, "t00", "t02", 2 * fragment_wire_size(1000, 2))
         sim.process(TerminalFailureEvent(time=30.0, terminal="t01"))
         assert holdings(sim, key) == {"t01": {0}, "t02": {1, 2}}
-        assert sim._restorable(key, {}, sim._placement())  # rebuilt from data 1 and parity 2
+        assert sim._restorable(key, {}, sim._placement(sim.producers))  # rebuilt from data 1 and parity 2
         replica = sim.stores["t02"].get(("t00", *key, 2))
         flipped = bytearray(replica.fragment.payload)
         flipped[0] ^= 0x01
         replica.fragment = dataclasses.replace(replica.fragment, payload=bytes(flipped))
         with pytest.raises(IntegrityError):
-            sim._restorable(key, {}, sim._placement())
+            sim._restorable(key, {}, sim._placement(sim.producers))
 
     @pytest.mark.parametrize("offset, mismatch", [(0, True), (498, True), (499, False)],
                              ids=["first byte", "last payload byte", "padding"])
@@ -186,7 +197,7 @@ class TestScriptedRuns:
         key = ("t00/d0000", 1)
         produce(sim, 1.0, item_spec(size=999, n=4, k=2))  # chunks of 500: one pad byte
         meet(sim, 10.0, "t00", "t01", 2 * fragment_wire_size(999, 2))
-        assert sim._restorable(key, {}, sim._placement())
+        assert sim._restorable(key, {}, sim._placement(sim.producers))
         original = sim.fragment_sets[key]
         flipped = bytearray(original.data[1].payload)
         flipped[offset] ^= 0x01
@@ -194,9 +205,9 @@ class TestScriptedRuns:
             original.data[0], dataclasses.replace(original.data[1], payload=bytes(flipped))))
         if mismatch:
             with pytest.raises(IntegrityError):
-                sim._restorable(key, {}, sim._placement())
+                sim._restorable(key, {}, sim._placement(sim.producers))
         else:
-            assert sim._restorable(key, {}, sim._placement())
+            assert sim._restorable(key, {}, sim._placement(sim.producers))
 
     @pytest.mark.parametrize("resize", [lambda b: b[:-1], lambda b: b + b"\x00"],
                              ids=["short", "long"])
@@ -207,7 +218,7 @@ class TestScriptedRuns:
         rebuild = sim_module.reconstruct
         monkeypatch.setattr(sim_module, "reconstruct", lambda fragments: resize(rebuild(fragments)))
         with pytest.raises(IntegrityError):
-            sim._restorable(("t00/d0000", 1), {}, sim._placement())
+            sim._restorable(("t00/d0000", 1), {}, sim._placement(sim.producers))
 
     def test_no_parity_computed_while_only_data_fragments_are_sent(self, monkeypatch):
         dispersal._encode_matrix(4, 2)  # its own construction is not parity work
@@ -487,7 +498,7 @@ class TestScriptedRuns:
             sim.process(event)
         assert sim.now == 0.0 and len(sim.index) == 0 and trace == []
         assert [len(s.queue) for s in sim.schedulers.values()] == [0, 0]
-        assert sim.owned_ids == {"t00": [], "t01": []} and sim.tables == {}
+        assert sim.owned_ids == {"t00": {}, "t01": {}} and sim.tables == {}
 
     @pytest.mark.parametrize("item, error", [
         pytest.param(item_spec(), UsageError, id="repeated-version"),

@@ -80,7 +80,7 @@ class SimulationMachine(RuleBasedStateMachine):
     def produce(self, owner, kind, pick, size, priority, lifetime, dt):
         now = self._advance(dt)
         index = self.sim.index
-        own_ids = self.sim.owned_ids[owner]
+        own_ids = list(self.sim.owned_ids[owner])
         deps: tuple = ()
         if kind == "update" and own_ids:
             item_id = own_ids[pick % len(own_ids)]
