@@ -14,7 +14,7 @@ sent stays queued for the Internet-window flush; meetings pass it over.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, MutableMapping, Optional, Protocol
 
@@ -76,15 +76,15 @@ class LinkSession:
 class BackupQueue:
     """Deficit-ordered set of pending item versions.
 
-    Live entries are (-deficit, seq, key) tuples in a heap: a pull costs
-    O(log n) plus the entries it rejects. A `notice` makes the next pull
-    re-read that deficit, re-stamping or retiring the entry; stale stamps
-    are skipped, and purged once they outnumber live ones.
+    `_order` is an ascending list of exactly the live (-deficit, seq, key)
+    entries, kept with bisect. A pull reads entries in place from the front
+    and removes the first eligible one. A `notice` makes the next pull
+    re-read that deficit, moving the entry (it keeps its seq) or retiring it.
     """
 
     def __init__(self) -> None:
         self._entries: dict[VersionKey, tuple[float, int, VersionKey]] = {}
-        self._heap: list[tuple[float, int, VersionKey]] = []
+        self._order: list[tuple[float, int, VersionKey]] = []
         self._noticed: set[VersionKey] = set()
         self._next_seq = 0
 
@@ -106,7 +106,7 @@ class BackupQueue:
             return False
         entry = self._entries[key] = (-deficit, self._next_seq, key)
         self._next_seq += 1
-        heapq.heappush(self._heap, entry)
+        insort(self._order, entry)
         return True
 
     def notice(self, key: VersionKey) -> None:
@@ -124,32 +124,22 @@ class BackupQueue:
         Ties break FIFO by insertion sequence. Noticed entries at or above
         their target are dropped first; ineligible entries stay queued.
         """
-        entries, heap = self._entries, self._heap
+        entries, order = self._entries, self._order
         for key in self._noticed:
-            deficit = deficit_of(key)
+            entry, deficit = entries[key], deficit_of(key)
+            del order[bisect_left(order, entry)]
             if deficit <= 0.0:
                 del entries[key]
-            elif -deficit != entries[key][0]:
-                entry = entries[key] = (-deficit, entries[key][1], key)
-                heapq.heappush(heap, entry)
+            else:
+                entry = entries[key] = (-deficit, entry[1], key)
+                insort(order, entry)
         self._noticed.clear()
-        found, rejected = None, []
-        while heap:
-            entry = heapq.heappop(heap)
-            if entries.get(entry[2]) is not entry:
-                continue  # stale stamp
-            if eligible is None or eligible(entry[2]):
-                found = entry
-                break
-            rejected.append(entry)
-        for entry in rejected:
-            heapq.heappush(heap, entry)
-        if found is not None:
-            del entries[found[2]]
-        if len(heap) > 2 * len(entries):
-            self._heap = list(entries.values())
-            heapq.heapify(self._heap)
-        return None if found is None else found[2]
+        for i, (_, _, key) in enumerate(order):
+            if eligible is None or eligible(key):
+                del order[i]
+                del entries[key]
+                return key
+        return None
 
 
 @dataclass

@@ -37,6 +37,7 @@ import hashlib
 import json
 import math
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -73,6 +74,7 @@ OUTCOME_RECOVERABLE = "recoverable_from_peers"
 OUTCOME_LOST = "lost"
 
 _BANDS = ((0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0))
+_BAND_TOPS = tuple(hi for _, hi in _BANDS[:-1])  # a priority of 1.0 is in the top band
 
 
 # -- events ------------------------------------------------------------------
@@ -868,17 +870,16 @@ class Simulation:
             for owner in self.producers
             for item in self._current_items(self.owned_ids[owner])
         ]
-        lost = sum(1 for _, o in measured if o == OUTCOME_LOST)
-        loss_ratio = lost / len(measured) if measured else 0.0
-        by_band: dict[str, float] = {}
-        for lo, hi in _BANDS:
-            members = [
-                (item, o) for item, o in measured
-                if lo <= item.priority < hi or (hi == 1.0 and item.priority == 1.0)
-            ]
-            if members:
-                band_lost = sum(1 for _, o in members if o == OUTCOME_LOST)
-                by_band[f"{lo:.2f}-{hi:.2f}"] = band_lost / len(members)
+        lost, members = [0] * len(_BANDS), [0] * len(_BANDS)
+        for item, outcome in measured:
+            band = bisect_right(_BAND_TOPS, item.priority)
+            lost[band] += outcome == OUTCOME_LOST
+            members[band] += 1
+        loss_ratio = sum(lost) / len(measured) if measured else 0.0
+        by_band = {
+            f"{lo:.2f}-{hi:.2f}": band_lost / count
+            for (lo, hi), band_lost, count in zip(_BANDS, lost, members) if count
+        }
 
         produced = len(self.index)
         saved = sum(table.fragments_saved for table in self.tables.values())

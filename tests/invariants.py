@@ -103,10 +103,11 @@ def check_invariants(sim: Simulation, log: TraceLog) -> None:
 
     for scheduler in sim.schedulers.values():
         queue = copy.copy(scheduler.queue)  # a pull changes only the containers
-        queue._entries, queue._heap = dict(queue._entries), list(queue._heap)
+        queue._entries, queue._order = dict(queue._entries), list(queue._order)
         queue._noticed = set(queue._noticed)
         assert queue.pull(scheduler.deficit_of, lambda key: False) is None  # notices only
         entries = queue._entries
+        assert queue._order == sorted(entries.values()), scheduler.owner
         for key, (neg_deficit, _, _) in entries.items():
             assert -neg_deficit == scheduler.deficit_of(key) > 0.0, key
 

@@ -92,7 +92,7 @@ class TestBackupQueue:
         assert q.pull(lambda key: live[key]) == ("b", 1)
         assert len(q) == 0
 
-    def test_noticed_deficits_reorder_and_stale_stamps_stay_bounded(self, rng: random.Random):
+    def test_noticed_deficits_reorder_and_only_live_entries_stay_ordered(self, rng: random.Random):
         q = BackupQueue()
         deficits = {}
         for i in range(50):
@@ -109,7 +109,7 @@ class TestBackupQueue:
                            default=None)
             assert q.pull(lambda key: deficits[key]) == expected
             assert q.keys() == [key for key in queued if key != expected]
-            assert len(q._heap) <= 2 * len(q)
+            assert q._order == sorted(q._entries.values())
 
     def test_filtered_pull_keeps_rejected_entries_in_order(self):
         def filled():

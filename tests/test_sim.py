@@ -450,6 +450,20 @@ class TestScriptedRuns:
         assert report.items_measured == 0
         assert report.loss_ratio == 0.0
 
+    def test_band_edges_fall_in_the_upper_band_and_one_in_the_top(self):
+        sim = Simulation(quiet_config())
+        for i, priority in enumerate([0.0, 0.25, 0.5, 0.75]):
+            produce(sim, 1.0 + i, item_spec(f"t00/d{i:04d}", priority=priority))
+        # every queued item goes up; one at priority 0.0 is never queued
+        sim.process(InternetWindowEvent(time=10.0, terminal="t00", duration=1.0, bandwidth=10**6))
+        produce(sim, 20.0, item_spec("t00/d0004", priority=1.0))
+        report = sim.finish()
+        assert [report.outcomes[f"t00/d{i:04d}@1"] for i in range(5)] == [
+            "lost", "safe_on_server", "safe_on_server", "safe_on_server", "lost"]
+        assert report.loss_ratio_by_band == {
+            "0.00-0.25": 1.0, "0.25-0.50": 0.0, "0.50-0.75": 0.0, "0.75-1.00": 0.5}
+        assert list(report.loss_ratio_by_band) == sorted(report.loss_ratio_by_band)
+
     def test_finish_classifies_at_the_horizon(self):
         sim = Simulation(quiet_config())  # horizon_s 3600
         produce(sim, 1.0, item_spec(lifetime=4000.0))
